@@ -200,7 +200,14 @@ let drive (type d) (module D : DEPLOY with type t = d) (dep : d) spec =
         let shard = D.route dep ~key:(Command.key command) in
         let invoked = now in
         let rec attempt_send attempt =
+          (* The timeout event usually outlives the reply (it is never
+             cancelled: that would change the event count), so its
+             closure holds only this cell. The reply swaps in a no-op,
+             releasing the command and both continuations; a timeout
+             that fires after the reply found nothing pending anyway. *)
+          let on_timeout = ref ignore in
           let on_reply (reply : Proto.reply) =
+            on_timeout := ignore;
             let responded = Sim.now sim in
             incr completed;
             if invoked >= window_start && responded <= window_end then begin
@@ -227,19 +234,21 @@ let drive (type d) (module D : DEPLOY with type t = d) (dep : d) spec =
                 :: !history;
             continue ()
           in
+          (on_timeout :=
+             fun () ->
+               if D.pending dep ~shard ~client:cid ~command then
+                 if attempt < spec.max_retries then attempt_send (attempt + 1)
+                 else begin
+                   D.give_up dep ~shard ~client:cid ~command;
+                   incr gave_up;
+                   continue ()
+                 end);
           D.submit dep ~shard ~client:cid
             ~target:(pick_target ~shard ~attempt)
             ~command ~on_reply;
           ignore
           @@ Sim.schedule_after sim ~delay:spec.config.Config.client_timeout_ms
-               (fun () ->
-                 if D.pending dep ~shard ~client:cid ~command then
-                   if attempt < spec.max_retries then attempt_send (attempt + 1)
-                   else begin
-                     D.give_up dep ~shard ~client:cid ~command;
-                     incr gave_up;
-                     continue ()
-                   end)
+               (fun () -> !on_timeout ())
         in
         attempt_send 0
       end

@@ -43,12 +43,10 @@ module Make (P : Proto.RUNNABLE) = struct
     mutable replay_ms_total : float;
   }
 
-  let pending_key ~client ~id = (client lsl 32) lor (id land 0xFFFF_FFFF)
-
   let deliver_reply t cid (reply : Proto.reply) =
     if reply.command.Command.client <> cid then ()
     else
-      let key = pending_key ~client:cid ~id:reply.command.Command.id in
+      let key = Command.uid_of ~client:cid ~id:reply.command.Command.id in
       match Hashtbl.find_opt t.pending key with
       | Some cb ->
           Hashtbl.remove t.pending key;
@@ -434,7 +432,7 @@ module Make (P : Proto.RUNNABLE) = struct
 
   let submit t ~client ~target ~command ~on_reply =
     Hashtbl.replace t.pending
-      (pending_key ~client ~id:command.Command.id)
+      (Command.uid_of ~client ~id:command.Command.id)
       on_reply;
     let request = { Proto.command; sent_at_ms = Sim.now t.shared.sim } in
     if Paxi_obs.Trace.enabled t.trace then
@@ -445,10 +443,10 @@ module Make (P : Proto.RUNNABLE) = struct
       (Request { client = Address.client client; request })
 
   let pending t ~client ~command =
-    Hashtbl.mem t.pending (pending_key ~client ~id:command.Command.id)
+    Hashtbl.mem t.pending (Command.uid_of ~client ~id:command.Command.id)
 
   let give_up t ~client ~command =
-    Hashtbl.remove t.pending (pending_key ~client ~id:command.Command.id)
+    Hashtbl.remove t.pending (Command.uid_of ~client ~id:command.Command.id)
 
   let leader_of_key t ~replica key = P.leader_of_key t.replicas.(replica) key
 

@@ -291,6 +291,9 @@ let commit_instance t (i : inst) =
     i.status <- Committed_st;
     t.committed <- t.committed + 1
   end;
+  (* a committed instance takes no more votes *)
+  i.fast_q <- None;
+  i.accept_q <- None;
   try_execute t i.iid;
   retry_blocked t
 

@@ -79,6 +79,7 @@ let commit_up_to t bound =
     match Slot_log.get t.log slot with
     | Some (e : entry) when not e.committed ->
         e.committed <- true;
+        e.quorum <- None;
         changed := true
     | _ -> ()
   done;
@@ -97,6 +98,7 @@ let propose t ~client cmd =
   (match Slot_log.get t.log slot with
   | Some (e : entry) when not e.committed && Quorum.satisfied tracker ->
       e.committed <- true;
+      e.quorum <- None;
       advance t
   | _ -> ())
 
@@ -120,6 +122,7 @@ let on_accept_ok t ~src ~slot =
         Quorum.ack tracker src;
         if Quorum.satisfied tracker then begin
           e.committed <- true;
+          e.quorum <- None;
           t.settle_all ~key:e.rkey;
           advance t;
           List.iter (fun m -> t.send m (Commit { slot; cmd = e.cmd })) (peers t)
@@ -134,7 +137,8 @@ let on_commit t ~slot ~cmd =
   | Some (e : entry) ->
       if not (Command.equal e.cmd cmd) then e.client <- None;
       e.cmd <- cmd;
-      e.committed <- true
+      e.committed <- true;
+      e.quorum <- None
   | None ->
       Slot_log.set t.log slot
         { cmd; client = None; quorum = None; committed = true; rkey = 0 });

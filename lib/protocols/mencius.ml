@@ -71,6 +71,7 @@ let commit_up_to t bound =
     match Slot_log.get t.log slot with
     | Some (e : entry) when not e.committed ->
         e.committed <- true;
+        e.quorum <- None;
         changed := true
     | _ -> ()
   done;
@@ -89,7 +90,8 @@ let apply_skip t ~owner_id ~from_slot ~upto =
     | Some e ->
         e.cmd <- Command.noop;
         e.client <- None;
-        e.committed <- true
+        e.committed <- true;
+        e.quorum <- None
     | None ->
         Slot_log.set t.log !slot
           { cmd = Command.noop; client = None; quorum = None; committed = true });
@@ -145,6 +147,7 @@ let on_accept_ok t ~src ~slot =
       Quorum.ack tracker src;
       if Quorum.satisfied tracker then begin
         e.committed <- true;
+        e.quorum <- None;
         advance t;
         t.env.broadcast (MCommit { slot; cmd = e.cmd })
       end
@@ -155,7 +158,8 @@ let on_commit t ~slot ~cmd =
   | Some (e : entry) ->
       if not (Command.equal e.cmd cmd) then e.client <- None;
       e.cmd <- cmd;
-      e.committed <- true
+      e.committed <- true;
+      e.quorum <- None
   | None ->
       Slot_log.set t.log slot { cmd; client = None; quorum = None; committed = true });
   advance t;

@@ -117,6 +117,10 @@ type qread = {
 
 type replica = {
   env : message Proto.env;
+  q2_template : Quorum.t Lazy.t;
+      (* unacked phase-2 tracker every slot, batch and lease epoch
+         copies with [Quorum.fresh]; built on first use, so creating
+         a replica stays as cheap as before *)
   mutable ballot : Ballot.t;
   mutable active : bool; (* self is the established leader *)
   log : entry Slot_log.t;
@@ -196,6 +200,14 @@ let phase2_peers (t : replica) =
 let create env =
   {
     env;
+    q2_template =
+      lazy
+        (Quorum.create
+           (Quorum.Count
+              {
+                members = List.init env.Proto.n Fun.id;
+                threshold = Config.phase2_quorum_size env.Proto.config;
+              }));
     ballot = Ballot.zero;
     active = false;
     log = Slot_log.create ();
@@ -380,6 +392,7 @@ let commit_up_to t bound =
     match Slot_log.get t.log slot with
     | Some e when not e.committed ->
         e.committed <- true;
+        e.quorum <- None;
         changed := true
     | _ -> ()
   done;
@@ -599,6 +612,7 @@ let relay_absorb_p2b t ~src ~ballot ~first_slot ~count ~batch ~ok =
 let maybe_commit_slot t slot (e : entry) tracker =
   if Quorum.satisfied tracker then begin
     e.committed <- true;
+    e.quorum <- None (* a committed slot takes no more votes *);
     t.env.obs.Proto.on_quorum ~slot;
     t.env.rel.settle_all ~key:e.rkey;
     if not (Sim.is_nil e.fb) then begin
@@ -628,9 +642,7 @@ let entry_op ~slot ~(ballot : Ballot.t) ~cmd =
 
 let propose t ~client (request : Proto.request) =
   let slot = Slot_log.reserve t.log in
-  let tracker =
-    Quorum.create (Quorum.Count { members = all_ids t; threshold = q2_size t })
-  in
+  let tracker = Quorum.fresh (Lazy.force t.q2_template) in
   (match t.env.Proto.storage with
   | None -> Quorum.ack tracker t.env.id
   | Some _ -> () (* self-vote deferred until the entry is durable *));
@@ -739,9 +751,7 @@ let propose_batch t items =
         };
       t.env.obs.Proto.on_propose ~slot ~cmd:request.Proto.command)
     items;
-  let tracker =
-    Quorum.create (Quorum.Count { members = all_ids t; threshold = q2_size t })
-  in
+  let tracker = Quorum.fresh (Lazy.force t.q2_template) in
   (match t.env.Proto.storage with
   | None -> Quorum.ack tracker t.env.id
   | Some _ -> () (* self-vote deferred until the batch is durable *));
@@ -858,9 +868,7 @@ let send_heartbeat t =
   if lease_mode t then begin
     t.lease_epoch <- t.lease_epoch + 1;
     t.lease_sent_at <- t.env.now ();
-    let tracker =
-      Quorum.create (Quorum.Count { members = all_ids t; threshold = q2_size t })
-    in
+    let tracker = Quorum.fresh (Lazy.force t.q2_template) in
     Quorum.ack tracker t.env.id;
     t.lease_acks <- Some tracker
   end;
@@ -951,10 +959,7 @@ let become_leader t (state : phase1_state) =
       | Some (_, cmd) -> cmd
       | None -> Command.noop
     in
-    let tracker =
-      Quorum.create
-        (Quorum.Count { members = all_ids t; threshold = q2_size t })
-    in
+    let tracker = Quorum.fresh (Lazy.force t.q2_template) in
     (match t.env.Proto.storage with
     | None -> Quorum.ack tracker t.env.id
     | Some _ -> () (* self-vote deferred until the re-proposal is durable *));
@@ -1443,7 +1448,8 @@ let on_commit t ~slot ~cmd =
   (match Slot_log.get t.log slot with
   | Some e ->
       e.cmd <- cmd;
-      e.committed <- true
+      e.committed <- true;
+      e.quorum <- None
   | None ->
       Slot_log.set t.log slot
         {

@@ -211,6 +211,7 @@ let commit_up_to t ks bound =
     match Slot_log.get ks.log slot with
     | Some (e : entry) when not e.committed ->
         e.committed <- true;
+        e.quorum <- None;
         changed := true
     | _ -> ()
   done;
@@ -349,7 +350,10 @@ let become_owner t key ks (state : phase1_state) =
         if not (Command.equal e.cmd cmd) then e.client <- None;
         e.ballot <- ks.ballot;
         e.cmd <- cmd;
-        if already_committed then e.committed <- true
+        if already_committed then begin
+          e.committed <- true;
+          e.quorum <- None
+        end
         else begin
           let tracker = Quorum.create (q2_spec t) in
           Quorum.ack tracker t.env.id;
@@ -517,6 +521,7 @@ let on_p2b t ~src ~key ~ballot ~slot ~ok =
         Quorum.ack tracker src;
         if Quorum.satisfied tracker then begin
           e.committed <- true;
+          e.quorum <- None;
           t.env.rel.settle_all ~key:e.rkey;
           advance t ks;
           t.env.broadcast (CommitK { key; slot; cmd = e.cmd })
@@ -540,7 +545,8 @@ let on_commit t ~key ~slot ~cmd =
   | Some (e : entry) ->
       if not (Command.equal e.cmd cmd) then e.client <- None;
       e.cmd <- cmd;
-      e.committed <- true
+      e.committed <- true;
+      e.quorum <- None
   | None ->
       Slot_log.set ks.log slot
         {

@@ -74,6 +74,14 @@ let create spec =
     memb;
   { spec; memb; threshold; flags; acked = []; n_acked = 0; nacked = [] }
 
+let fresh t =
+  let flags = Bytes.copy t.flags in
+  (* voters are members: keep only the membership bit *)
+  let unvote id = Bytes.unsafe_set flags id (Char.unsafe_chr flag_member) in
+  List.iter unvote t.acked;
+  List.iter unvote t.nacked;
+  { t with flags; acked = []; n_acked = 0; nacked = [] }
+
 let ack t id =
   if id >= 0 && id < Bytes.length t.flags then begin
     let f = Char.code (Bytes.unsafe_get t.flags id) in

@@ -41,6 +41,14 @@ val min_size : spec -> int
 type t
 
 val create : spec -> t
+
+val fresh : t -> t
+(** An unacked tracker over the same spec as the given one — a
+    per-replica template. Spec and member list are shared; only the
+    per-member flags are copied, so a per-proposal tracker costs one
+    small allocation instead of re-deriving the member set. The
+    template itself is left untouched. *)
+
 val ack : t -> int -> unit
 (** Record a positive vote; unknown or duplicate voters are ignored. *)
 

@@ -4,6 +4,8 @@ type op = Get of key | Put of key * value | Delete of key
 type t = { id : int; client : int; op : op }
 
 let make ~id ~client op = { id; client; op }
+let uid_of ~client ~id = (client lsl 32) lor (id land 0xFFFF_FFFF)
+let uid t = uid_of ~client:t.client ~id:t.id
 let key t = match t.op with Get k | Put (k, _) | Delete k -> k
 let is_write t = match t.op with Put _ | Delete _ -> true | Get _ -> false
 let is_read t = not (is_write t)

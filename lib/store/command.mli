@@ -17,6 +17,16 @@ type op =
 type t = { id : int; client : int; op : op }
 
 val make : id:int -> client:int -> op -> t
+
+val uid_of : client:int -> id:int -> int
+(** [(client lsl 32) lor (id land 0xFFFF_FFFF)]: a [(client, id)] pair
+    packed into one unboxed int — distinct for distinct pairs while
+    ids fit in 32 bits. Used to key per-command tables without
+    allocating a tuple per key. *)
+
+val uid : t -> int
+(** [uid_of ~client:c.client ~id:c.id]. *)
+
 val key : t -> key
 val is_write : t -> bool
 val is_read : t -> bool

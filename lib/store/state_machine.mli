@@ -16,8 +16,9 @@ val apply : t -> Command.t -> result
     again (deduplication is the protocol's job); tests rely on this to
     catch protocols that double-commit. *)
 
-val applied : t -> Command.t list
-(** All applied commands, oldest first. *)
+val applied : t -> Command.t array
+(** All applied commands, oldest first, as a fresh array (a copy:
+    later applies do not show in it). *)
 
 val applied_count : t -> int
 val store : t -> Kv.t

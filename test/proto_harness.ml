@@ -91,7 +91,7 @@ module Make (P : Proto.RUNNABLE) = struct
   let applied_commands t i =
     List.filter
       (fun c -> not (Command.is_noop c))
-      (State_machine.applied (state_machine t i))
+      (Array.to_list (State_machine.applied (state_machine t i)))
 
   (* Common safety assertion: every pair of replicas agrees on a
      common prefix of every key's version history. Hierarchical

@@ -182,6 +182,74 @@ let prop_is_quorum_matches_tracker =
       List.iter (Quorum.ack t) acks;
       Quorum.satisfied t = Quorum.is_quorum spec (Quorum.acks t))
 
+(* A [Quorum.fresh] copy of a per-replica template must be
+   indistinguishable from a tracker built with [Quorum.create] on the
+   same spec, under any vote sequence, and must leave its template
+   unacked so the next copy starts clean. *)
+let gen_spec =
+  QCheck.Gen.(
+    int_range 1 9 >>= fun n ->
+    oneof
+      [
+        return (Quorum.Majority (ids n));
+        return (Quorum.Fast (ids n));
+        map
+          (fun threshold -> Quorum.Count { members = ids n; threshold })
+          (int_range 1 n);
+        return
+          (Quorum.Zones
+             {
+               zones = [ [ 0; 1; 2 ]; [ 3; 4; 5 ]; [ 6; 7; 8 ] ];
+               need_zones = 2;
+               per_zone = Quorum.Per_zone_majority;
+             });
+      ])
+
+let prop_fresh_matches_create =
+  QCheck.Test.make ~name:"fresh copy answers like create" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         pair gen_spec
+           (list_size (int_range 0 14) (pair bool (int_range (-1) 10)))))
+    (fun (spec, votes) ->
+      let template = Quorum.create spec in
+      (* replay the votes on a copy and on a reference tracker, checking
+         every answer after every vote *)
+      let agrees () =
+        let copy = Quorum.fresh template and reference = Quorum.create spec in
+        let same () =
+          Quorum.satisfied copy = Quorum.satisfied reference
+          && Quorum.rejected copy = Quorum.rejected reference
+          && Quorum.acks copy = Quorum.acks reference
+          && Quorum.nacks copy = Quorum.nacks reference
+        in
+        same ()
+        && List.for_all
+             (fun (positive, id) ->
+               if positive then (Quorum.ack copy id; Quorum.ack reference id)
+               else (Quorum.nack copy id; Quorum.nack reference id);
+               same ())
+             votes
+      in
+      (* the second copy must not see the first copy's votes *)
+      agrees () && agrees ()
+      && Quorum.acks template = [] && Quorum.nacks template = [])
+
+let test_fresh_of_used_tracker_is_unacked () =
+  let t = Quorum.create (Quorum.Majority (ids 5)) in
+  Quorum.ack t 0;
+  Quorum.ack t 1;
+  Quorum.nack t 4;
+  let f = Quorum.fresh t in
+  Alcotest.(check (list int)) "no acks carried over" [] (Quorum.acks f);
+  Alcotest.(check (list int)) "no nacks carried over" [] (Quorum.nacks f);
+  Quorum.ack f 0;
+  Quorum.ack f 1;
+  Alcotest.(check bool) "2/5 not yet" false (Quorum.satisfied f);
+  Quorum.ack f 2;
+  Alcotest.(check bool) "3/5 satisfied" true (Quorum.satisfied f);
+  Alcotest.(check (list int)) "source untouched" [ 0; 1 ] (Quorum.acks t)
+
 let suite =
   ( "quorum",
     [
@@ -205,4 +273,7 @@ let suite =
       Alcotest.test_case "grid row/column intersection" `Quick test_grid_row_column_intersection;
       QCheck_alcotest.to_alcotest prop_majority_pairs_intersect;
       QCheck_alcotest.to_alcotest prop_is_quorum_matches_tracker;
+      Alcotest.test_case "fresh of a used tracker is unacked" `Quick
+        test_fresh_of_used_tracker_is_unacked;
+      QCheck_alcotest.to_alcotest prop_fresh_matches_create;
     ] )

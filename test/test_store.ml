@@ -97,6 +97,59 @@ let test_executor_distinct_clients () =
   ignore (Executor.execute e b);
   Alcotest.(check int) "same id different client" 2 (Executor.executed_count e)
 
+(* The memo key packs (client, id) into one int; swapping the two must
+   still name two different commands. *)
+let test_executor_memo_key_packing () =
+  let e = Executor.create () in
+  let a = Command.make ~id:5 ~client:1 (Command.Put (1, 10)) in
+  let b = Command.make ~id:1 ~client:5 (Command.Put (1, 20)) in
+  ignore (Executor.execute e a);
+  Alcotest.(check bool) "(client 5, id 1) not yet executed" false
+    (Executor.already_executed e b);
+  ignore (Executor.execute e b);
+  Alcotest.(check int) "two distinct commands" 2 (Executor.executed_count e);
+  let r = Command.make ~id:6 ~client:1 (Command.Get 1) in
+  Alcotest.(check (option int)) "read sees the later write" (Some 20)
+    (Executor.execute e r);
+  ignore (Executor.execute e (Command.make ~id:2 ~client:5 (Command.Put (1, 30))));
+  (* a retried read decided again returns its memoised value *)
+  Alcotest.(check (option int)) "retried read memoised" (Some 20)
+    (Executor.execute e (Command.make ~id:6 ~client:1 (Command.Get 1)));
+  Alcotest.(check int) "retry not re-applied" 4 (Executor.executed_count e)
+
+(* The applied sequence grows by doubling from 64: order must survive
+   the copies, and a snapshot image must replay to the same state. *)
+let test_applied_order_past_growth () =
+  let e = Executor.create () in
+  let cmds =
+    List.init 200 (fun i ->
+        Command.make ~id:i ~client:(i mod 3)
+          (if i mod 4 = 0 then Command.Get (i mod 7) else Command.Put (i mod 7, i)))
+  in
+  List.iter (fun c -> ignore (Executor.execute e c)) cmds;
+  let sm = Executor.state_machine e in
+  Alcotest.(check int) "count" 200 (State_machine.applied_count sm);
+  Alcotest.(check bool) "oldest first" true
+    (List.equal Command.equal cmds (Array.to_list (State_machine.applied sm)));
+  let img = Executor.image e in
+  Alcotest.(check bool) "image is the applied list" true
+    (List.equal Command.equal cmds (Array.to_list img));
+  let e' = Executor.create () in
+  Executor.install e' img;
+  Alcotest.(check bool) "install round-trips" true
+    (List.equal Command.equal cmds
+       (Array.to_list (State_machine.applied (Executor.state_machine e'))));
+  Alcotest.(check bool) "image round-trips" true
+    (Array.for_all2 Command.equal img (Executor.image e'));
+  for k = 0 to 6 do
+    let get = Command.make ~id:1000 ~client:9 (Command.Get k) in
+    Alcotest.(check (option int)) (Printf.sprintf "key %d" k)
+      (Executor.read e get) (Executor.read e' get)
+  done;
+  (* the image is a copy: later applies do not show in it *)
+  ignore (Executor.execute e (Command.make ~id:500 ~client:0 (Command.Put (0, 0))));
+  Alcotest.(check int) "image unchanged" 200 (Array.length img)
+
 let test_ballot_ordering () =
   let open Ballot in
   let b1 = initial ~owner:0 in
@@ -169,6 +222,10 @@ let suite =
       Alcotest.test_case "executor dedup" `Quick test_executor_dedup;
       Alcotest.test_case "executor noop" `Quick test_executor_noop;
       Alcotest.test_case "executor distinct clients" `Quick test_executor_distinct_clients;
+      Alcotest.test_case "executor memo key packing" `Quick
+        test_executor_memo_key_packing;
+      Alcotest.test_case "applied order past growth" `Quick
+        test_applied_order_past_growth;
       Alcotest.test_case "ballot ordering" `Quick test_ballot_ordering;
       Alcotest.test_case "slot log basics" `Quick test_slot_log;
       Alcotest.test_case "slot log frontier" `Quick test_slot_log_frontier;
