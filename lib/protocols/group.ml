@@ -27,7 +27,9 @@ type t = {
          AcceptOks are the piggybacked acks *)
   settle : dst:int -> key:int -> unit;
   settle_all : key:int -> unit;
-  log : entry Slot_log.t;
+  log : (entry, unit) Slot_log.t;
+      (* executed slots keep nothing: no reader looks below the
+         frontier *)
   exec : Executor.t;
   on_executed : Command.t -> Address.t option -> Command.value option -> unit;
   mutable committed_n : int;
@@ -102,20 +104,25 @@ let propose t ~client cmd =
       advance t
   | _ -> ())
 
+(* Executed slots are committed and no longer in the log: accepts and
+   commits for them change nothing. *)
 let on_accept t ~src ~slot ~cmd ~commit_up_to:bound =
-  (match Slot_log.get t.log slot with
-  | Some (e : entry) when e.committed -> ()
-  | Some e ->
-      if not (Command.equal e.cmd cmd) then e.client <- None;
-      e.cmd <- cmd
-  | None ->
-      Slot_log.set t.log slot
-        { cmd; client = None; quorum = None; committed = false; rkey = 0 });
+  (if not (Slot_log.executed t.log slot) then
+     match Slot_log.get t.log slot with
+     | Some (e : entry) when e.committed -> ()
+     | Some e ->
+         if not (Command.equal e.cmd cmd) then e.client <- None;
+         e.cmd <- cmd
+     | None ->
+         Slot_log.set t.log slot
+           { cmd; client = None; quorum = None; committed = false; rkey = 0 });
   commit_up_to t bound;
   t.send src (AcceptOk { slot })
 
+(* A late ack for an executed slot needs nothing: the commit's
+   [settle_all] already closed its post. *)
 let on_accept_ok t ~src ~slot =
-  if is_leader t then
+  if is_leader t && not (Slot_log.executed t.log slot) then
     match Slot_log.get t.log slot with
     | Some ({ quorum = Some tracker; committed = false; _ } as e : entry) ->
         t.settle ~dst:src ~key:e.rkey;
@@ -124,6 +131,7 @@ let on_accept_ok t ~src ~slot =
           e.committed <- true;
           e.quorum <- None;
           t.settle_all ~key:e.rkey;
+          e.rkey <- 0;
           advance t;
           List.iter (fun m -> t.send m (Commit { slot; cmd = e.cmd })) (peers t)
         end
@@ -133,15 +141,16 @@ let on_accept_ok t ~src ~slot =
     | _ -> ()
 
 let on_commit t ~slot ~cmd =
-  (match Slot_log.get t.log slot with
-  | Some (e : entry) ->
-      if not (Command.equal e.cmd cmd) then e.client <- None;
-      e.cmd <- cmd;
-      e.committed <- true;
-      e.quorum <- None
-  | None ->
-      Slot_log.set t.log slot
-        { cmd; client = None; quorum = None; committed = true; rkey = 0 });
+  (if not (Slot_log.executed t.log slot) then
+     match Slot_log.get t.log slot with
+     | Some (e : entry) ->
+         if not (Command.equal e.cmd cmd) then e.client <- None;
+         e.cmd <- cmd;
+         e.committed <- true;
+         e.quorum <- None
+     | None ->
+         Slot_log.set t.log slot
+           { cmd; client = None; quorum = None; committed = true; rkey = 0 });
   advance t
 
 let on_message t ~src = function

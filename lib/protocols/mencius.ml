@@ -25,7 +25,9 @@ type entry = {
 
 type replica = {
   env : message Proto.env;
-  log : entry Slot_log.t;
+  log : (entry, unit) Slot_log.t;
+      (* executed slots keep nothing: no reader looks below the
+         frontier *)
   exec : Executor.t;
   mutable next_own : int; (* smallest unused owned slot *)
   mutable skips : int;
@@ -85,16 +87,18 @@ let apply_skip t ~owner_id ~from_slot ~upto =
   (* first owned slot of owner_id at or above from_slot *)
   let slot = ref (owner_id + (((Stdlib.max 0 (from_slot - owner_id)) + n - 1) / n * n)) in
   while !slot < upto do
-    (match Slot_log.get t.log !slot with
-    | Some (e : entry) when e.committed -> ()
-    | Some e ->
-        e.cmd <- Command.noop;
-        e.client <- None;
-        e.committed <- true;
-        e.quorum <- None
-    | None ->
-        Slot_log.set t.log !slot
-          { cmd = Command.noop; client = None; quorum = None; committed = true });
+    (* executed slots are committed: skips change nothing *)
+    (if not (Slot_log.executed t.log !slot) then
+       match Slot_log.get t.log !slot with
+       | Some (e : entry) when e.committed -> ()
+       | Some e ->
+           e.cmd <- Command.noop;
+           e.client <- None;
+           e.committed <- true;
+           e.quorum <- None
+       | None ->
+           Slot_log.set t.log !slot
+             { cmd = Command.noop; client = None; quorum = None; committed = true });
     slot := !slot + n
   done;
   advance t
@@ -128,13 +132,14 @@ let on_request t ~client (request : Proto.request) =
        { slot; cmd = request.Proto.command; commit_up_to = Slot_log.exec_frontier t.log })
 
 let on_accept t ~src ~slot ~cmd ~commit_up_to:bound =
-  (match Slot_log.get t.log slot with
-  | Some (e : entry) when e.committed -> ()
-  | Some e ->
-      if not (Command.equal e.cmd cmd) then e.client <- None;
-      e.cmd <- cmd
-  | None ->
-      Slot_log.set t.log slot { cmd; client = None; quorum = None; committed = false });
+  (if not (Slot_log.executed t.log slot) then
+     match Slot_log.get t.log slot with
+     | Some (e : entry) when e.committed -> ()
+     | Some e ->
+         if not (Command.equal e.cmd cmd) then e.client <- None;
+         e.cmd <- cmd
+     | None ->
+         Slot_log.set t.log slot { cmd; client = None; quorum = None; committed = false });
   commit_up_to t bound;
   (* another owner is at [slot]; skip our own stale slots below it so
      the frontier can advance without us *)
@@ -154,14 +159,15 @@ let on_accept_ok t ~src ~slot =
   | _ -> ()
 
 let on_commit t ~slot ~cmd =
-  (match Slot_log.get t.log slot with
-  | Some (e : entry) ->
-      if not (Command.equal e.cmd cmd) then e.client <- None;
-      e.cmd <- cmd;
-      e.committed <- true;
-      e.quorum <- None
-  | None ->
-      Slot_log.set t.log slot { cmd; client = None; quorum = None; committed = true });
+  (if not (Slot_log.executed t.log slot) then
+     match Slot_log.get t.log slot with
+     | Some (e : entry) ->
+         if not (Command.equal e.cmd cmd) then e.client <- None;
+         e.cmd <- cmd;
+         e.committed <- true;
+         e.quorum <- None
+     | None ->
+         Slot_log.set t.log slot { cmd; client = None; quorum = None; committed = true });
   advance t;
   skip_own_below t slot
 

@@ -123,7 +123,12 @@ type replica = {
          a replica stays as cheap as before *)
   mutable ballot : Ballot.t;
   mutable active : bool; (* self is the established leader *)
-  log : entry Slot_log.t;
+  log : (entry, Ballot.t) Slot_log.t;
+      (* executed slots keep only their command and ballot *)
+  mutable late_posts : (int * int) list;
+      (* leader: (slot, rkey) of executed slots whose P2a post was
+         still open when they executed — committed by a Commit rather
+         than by their own quorum — so late P2bs still settle it *)
   exec : Executor.t;
   mutable p1 : phase1_state option;
   pending : (Address.t * Proto.request) Queue.t;
@@ -197,6 +202,10 @@ let phase2_peers (t : replica) =
     List.filteri (fun rank _ -> rank < q2_size t - 1) sorted
   end
 
+let entry_cmd (e : entry) = e.cmd
+let entry_ballot (e : entry) = e.ballot
+let keep = Some (entry_cmd, entry_ballot)
+
 let create env =
   {
     env;
@@ -210,7 +219,8 @@ let create env =
               }));
     ballot = Ballot.zero;
     active = false;
-    log = Slot_log.create ();
+    log = Slot_log.create ?keep ();
+    late_posts = [];
     exec = Executor.create ();
     p1 = None;
     pending = Queue.create ();
@@ -281,9 +291,22 @@ let lease_valid t =
   && t.env.now () < t.lease_until -. lease_margin t
 
 let log_entry t slot =
-  Option.map
-    (fun (e : entry) -> (e.ballot, e.cmd, e.committed))
-    (Slot_log.get t.log slot)
+  if Slot_log.executed t.log slot then
+    Some (Slot_log.chosen_tag t.log slot, Slot_log.chosen_cmd t.log slot, true)
+  else
+    Option.map
+      (fun (e : entry) -> (e.ballot, e.cmd, e.committed))
+      (Slot_log.get t.log slot)
+
+(* A late P2b (or full RelayAck) for an executed slot: its post was
+   closed at commit unless [late_posts] still names it. *)
+let settle_late t ~src slot =
+  match t.late_posts with
+  | [] -> ()
+  | posts -> (
+      match List.assoc_opt slot posts with
+      | Some rkey -> t.env.rel.settle ~dst:src ~key:rkey
+      | None -> ())
 
 let leader_of_key t (_ : Command.key) =
   if t.ballot.Ballot.round > 0 then Some t.ballot.Ballot.owner else None
@@ -341,6 +364,10 @@ let advance t =
     ~executable:(fun e -> e.committed)
     ~f:(fun slot e ->
       let read = Executor.execute t.exec e.cmd in
+      if e.rkey <> 0 then begin
+        if t.active then t.late_posts <- (slot, e.rkey) :: t.late_posts;
+        e.rkey <- 0
+      end;
       if qmode then begin
         (if Command.is_write e.cmd then
            let value =
@@ -485,9 +512,12 @@ let relay_fallback_batch t first_slot =
       t.env.rel.settle_all ~key:bs.rkey;
       let cmds =
         Array.init bs.count (fun i ->
-            match Slot_log.get t.log (first_slot + i) with
-            | Some e -> e.cmd
-            | None -> Command.noop)
+            let slot = first_slot + i in
+            if Slot_log.executed t.log slot then Slot_log.chosen_cmd t.log slot
+            else
+              match Slot_log.get t.log slot with
+              | Some e -> e.cmd
+              | None -> Command.noop)
       in
       let size_bytes = bs.count * t.env.config.Config.msg_size_bytes in
       let rkey =
@@ -615,6 +645,7 @@ let maybe_commit_slot t slot (e : entry) tracker =
     e.quorum <- None (* a committed slot takes no more votes *);
     t.env.obs.Proto.on_quorum ~slot;
     t.env.rel.settle_all ~key:e.rkey;
+    e.rkey <- 0;
     if not (Sim.is_nil e.fb) then begin
       t.env.Proto.cancel e.fb;
       e.fb <- Sim.nil
@@ -718,9 +749,12 @@ let commit_batch t first_slot (bs : batch_state) =
      client's ack is waiting on their CommitAcks *)
   if (not t.env.config.Config.piggyback_commit) || quorum_mode t then
     for slot = first_slot to first_slot + bs.count - 1 do
-      match Slot_log.get t.log slot with
-      | Some e -> t.env.broadcast (Commit { slot; cmd = e.cmd })
-      | None -> ()
+      if Slot_log.executed t.log slot then
+        t.env.broadcast (Commit { slot; cmd = Slot_log.chosen_cmd t.log slot })
+      else
+        match Slot_log.get t.log slot with
+        | Some e -> t.env.broadcast (Commit { slot; cmd = e.cmd })
+        | None -> ()
     done
 
 (* One phase-2 round for the whole batch: contiguous slots, a single
@@ -906,6 +940,7 @@ let start_phase1 t =
   (* a fresh candidacy obsoletes whatever this replica was still
      retransmitting (an older P1a, stale P2as from lost leadership) *)
   t.env.rel.unpost_all ();
+  t.late_posts <- [];
   relay_reset t;
   let tracker =
     Quorum.create (Quorum.Count { members = all_ids t; threshold = q1_size t })
@@ -1038,6 +1073,7 @@ let step_down t ~ballot =
   (* everything this replica was retransmitting carried the lost
      ballot; the new leader re-proposes whatever survives phase-1 *)
   t.env.rel.unpost_all ();
+  t.late_posts <- [];
   relay_reset t;
   (* abandon in-flight batch rounds; buffered-but-unproposed commands
      go back to [pending] so they are forwarded to the new leader *)
@@ -1147,6 +1183,8 @@ let on_p1a t ~src ~ballot ~frontier =
     resign_read_path t;
     t.last_heard <- t.env.now ();
     let accepted = ref [] in
+    Slot_log.iter_chosen t.log ~start:frontier ~f:(fun slot cmd ballot ->
+        accepted := (slot, ballot, cmd) :: !accepted);
     Slot_log.iter_from t.log ~start:frontier ~f:(fun slot e ->
         accepted := (slot, e.ballot, e.cmd) :: !accepted);
     (* the promise binds across crashes: it leaves only after the
@@ -1170,21 +1208,12 @@ let on_p1b t ~src ~ballot ~ok ~accepted =
   | Some _ when Ballot.(ballot > t.ballot) -> step_down t ~ballot
   | _ -> ()
 
-(* Acceptor-side adoption of a single-slot phase-2 round, shared by
-   the direct path (reply with a P2b) and the relay path (the relay
-   accepts silently and folds its own vote into the aggregated
-   bitmap). Returns [true] when the round was accepted at [ballot]. *)
-let accept_p2a t ~ballot ~slot ~cmd ~commit_up_to:bound =
-  if Ballot.(ballot >= t.ballot) then begin
-    t.ballot <- ballot;
-    if ballot.Ballot.owner <> t.env.id then begin
-      if t.active then resign_read_path t;
-      t.active <- false;
-      t.p1 <- None
-    end;
-    t.last_heard <- t.env.now ();
-    (match Slot_log.get t.log slot with
-    | Some e when e.committed -> () (* never overwrite a commit *)
+(* Acceptor-side adoption of one slot of a phase-2 round. An executed
+   slot is committed: never overwrite a commit. *)
+let adopt_slot t ~ballot ~slot ~cmd =
+  if not (Slot_log.executed t.log slot) then
+    match Slot_log.get t.log slot with
+    | Some e when e.committed -> ()
     | Some e ->
         (* a different command displaced this slot: the old proposer's
            client must not be answered with the new command's result *)
@@ -1201,7 +1230,22 @@ let accept_p2a t ~ballot ~slot ~cmd ~commit_up_to:bound =
             committed = false;
             rkey = 0;
             fb = Sim.nil;
-          });
+          }
+
+(* Acceptor-side adoption of a single-slot phase-2 round, shared by
+   the direct path (reply with a P2b) and the relay path (the relay
+   accepts silently and folds its own vote into the aggregated
+   bitmap). Returns [true] when the round was accepted at [ballot]. *)
+let accept_p2a t ~ballot ~slot ~cmd ~commit_up_to:bound =
+  if Ballot.(ballot >= t.ballot) then begin
+    t.ballot <- ballot;
+    if ballot.Ballot.owner <> t.env.id then begin
+      if t.active then resign_read_path t;
+      t.active <- false;
+      t.p1 <- None
+    end;
+    t.last_heard <- t.env.now ();
+    adopt_slot t ~ballot ~slot ~cmd;
     (match t.env.Proto.storage with
     | None -> ()
     | Some st ->
@@ -1237,25 +1281,7 @@ let accept_p2a_batch t ~ballot ~first_slot ~cmds ~commit_up_to:bound =
     end;
     t.last_heard <- t.env.now ();
     Array.iteri
-      (fun i cmd ->
-        let slot = first_slot + i in
-        match Slot_log.get t.log slot with
-        | Some e when e.committed -> () (* never overwrite a commit *)
-        | Some e ->
-            if not (Command.equal e.cmd cmd) then e.client <- None;
-            e.ballot <- ballot;
-            e.cmd <- cmd
-        | None ->
-            Slot_log.set t.log slot
-              {
-                ballot;
-                cmd;
-                client = None;
-                quorum = None;
-                committed = false;
-                rkey = 0;
-                fb = Sim.nil;
-              })
+      (fun i cmd -> adopt_slot t ~ballot ~slot:(first_slot + i) ~cmd)
       cmds;
     (match t.env.Proto.storage with
     | None -> ()
@@ -1392,15 +1418,17 @@ let on_p2b t ~src ~ballot ~slot ~ok =
   if relay_absorb_p2b t ~src ~ballot ~first_slot:slot ~count:1 ~batch:false ~ok
   then ()
   else if ok && t.active && Ballot.equal ballot t.ballot then begin
-    match Slot_log.get t.log slot with
-    | Some ({ quorum = Some tracker; committed = false; _ } as e) ->
-        t.env.rel.settle ~dst:src ~key:e.rkey;
-        Quorum.ack tracker src;
-        maybe_commit_slot t slot e tracker
-    | Some { committed = true; rkey; _ } when rkey <> 0 ->
-        (* late ack for an already-committed slot: just stop the timer *)
-        t.env.rel.settle ~dst:src ~key:rkey
-    | _ -> ()
+    if Slot_log.executed t.log slot then settle_late t ~src slot
+    else
+      match Slot_log.get t.log slot with
+      | Some ({ quorum = Some tracker; committed = false; _ } as e) ->
+          t.env.rel.settle ~dst:src ~key:e.rkey;
+          Quorum.ack tracker src;
+          maybe_commit_slot t slot e tracker
+      | Some { committed = true; rkey; _ } when rkey <> 0 ->
+          (* late ack for an already-committed slot: just stop the timer *)
+          t.env.rel.settle ~dst:src ~key:rkey
+      | _ -> ()
   end
   else if (not ok) && Ballot.(ballot > t.ballot) then step_down t ~ballot
 
@@ -1429,6 +1457,9 @@ let on_relay_ack t ~src ~ballot ~gen ~first_slot ~count ~batch ~bits =
             if Quorum.satisfied bs.tracker then commit_batch t first_slot bs
         | _ -> ()
       end
+      else if Slot_log.executed t.log first_slot then begin
+        if full then settle_late t ~src first_slot
+      end
       else begin
         match Slot_log.get t.log first_slot with
         | Some ({ quorum = Some tracker; committed = false; _ } as e) ->
@@ -1445,22 +1476,24 @@ let on_relay_ack t ~src ~ballot ~gen ~first_slot ~count ~batch ~bits =
   end
 
 let on_commit t ~slot ~cmd =
-  (match Slot_log.get t.log slot with
-  | Some e ->
-      e.cmd <- cmd;
-      e.committed <- true;
-      e.quorum <- None
-  | None ->
-      Slot_log.set t.log slot
-        {
-          ballot = t.ballot;
-          cmd;
-          client = None;
-          quorum = None;
-          committed = true;
-          rkey = 0;
-          fb = Sim.nil;
-        });
+  (* an executed slot already holds its committed command *)
+  (if not (Slot_log.executed t.log slot) then
+     match Slot_log.get t.log slot with
+     | Some e ->
+         e.cmd <- cmd;
+         e.committed <- true;
+         e.quorum <- None
+     | None ->
+         Slot_log.set t.log slot
+           {
+             ballot = t.ballot;
+             cmd;
+             client = None;
+             quorum = None;
+             committed = true;
+             rkey = 0;
+             fb = Sim.nil;
+           });
   advance t
 
 let on_heartbeat t ~src ~ballot ~commit_up_to:bound ~epoch =

@@ -55,7 +55,8 @@ type replica = {
   mutable voted_for : int option;
   mutable state : role;
   mutable leader_id : int option;
-  log : entry Slot_log.t;
+  log : (entry, int) Slot_log.t;
+      (* executed slots keep only their command and term *)
   mutable commit_index : int; (* one past last committed slot *)
   exec : Executor.t;
   mutable next_index : int array;
@@ -78,7 +79,8 @@ type replica = {
      is a probe, and any reply of the current term proves the follower
      reset its election timer (and granted) after the probe left.
      [probe_sent_at.(i)] is the send time of the oldest unanswered
-     probe to i (0 = none outstanding); [acked_at.(i)] the latest such
+     probe to i ([neg_infinity] = none outstanding: a skewed local clock
+     can read 0 or less); [acked_at.(i)] the latest such
      proven-contact time. The lease extends to the majority-th largest
      acked_at plus the minimum election delay. *)
   mutable probe_sent_at : float array;
@@ -115,6 +117,10 @@ type replica = {
 
 let all_ids (t : replica) = List.init t.env.n (fun i -> i)
 
+let entry_cmd (e : entry) = e.cmd
+let entry_term (e : entry) = e.term
+let keep = Some (entry_cmd, entry_term)
+
 let create env =
   {
     env;
@@ -122,7 +128,7 @@ let create env =
     voted_for = None;
     state = Follower;
     leader_id = None;
-    log = Slot_log.create ();
+    log = Slot_log.create ?keep ();
     commit_index = 0;
     exec = Executor.create ();
     next_index = Array.make env.Proto.n 0;
@@ -135,7 +141,7 @@ let create env =
     flush_timer = Sim.nil;
     append_key = Array.make env.Proto.n 0;
     inflight_match = Array.make env.Proto.n 0;
-    probe_sent_at = Array.make env.Proto.n 0.0;
+    probe_sent_at = Array.make env.Proto.n neg_infinity;
     acked_at = Array.make env.Proto.n neg_infinity;
     lease_until = neg_infinity;
     lease_holder = -1;
@@ -192,7 +198,8 @@ let lease_valid t =
   && t.env.Proto.now () < t.lease_until -. lease_margin t
 
 let log_term_at t i =
-  Option.map (fun (e : entry) -> e.term) (Slot_log.get t.log i)
+  if Slot_log.executed t.log i then Some (Slot_log.chosen_tag t.log i)
+  else Option.map (fun (e : entry) -> e.term) (Slot_log.get t.log i)
 
 let leader_of_key t (_ : Command.key) = t.leader_id
 
@@ -204,7 +211,29 @@ let term_at t i =
     (* the slot right below the compacted base: its term survives in
        the snapshot record so consistency checks still line up *)
     t.snap_term
+  else if Slot_log.executed t.log i then Slot_log.chosen_tag t.log i
   else match Slot_log.get t.log i with Some e -> e.term | None -> 0
+
+(* The log from [next] on, as the leader ships it: live entries as
+   they are, executed ones rebuilt from their command and term
+   (followers drop [client] on receipt either way). *)
+let tail_entries t ~next =
+  let entries = ref [] in
+  for i = last_index t downto next do
+    if Slot_log.executed t.log i then
+      entries :=
+        {
+          term = Slot_log.chosen_tag t.log i;
+          cmd = Slot_log.chosen_cmd t.log i;
+          client = None;
+        }
+        :: !entries
+    else
+      match Slot_log.get t.log i with
+      | Some e -> entries := e :: !entries
+      | None -> ()
+  done;
+  !entries
 
 (* ---- stable storage (Config.storage; DESIGN.md §14) ----------------
    Register 0 holds the durable term, register 1 the durable vote
@@ -301,7 +330,8 @@ let note_probe t dsts =
   if lease_mode t then
     let now = t.env.now () in
     List.iter
-      (fun f -> if t.probe_sent_at.(f) = 0.0 then t.probe_sent_at.(f) <- now)
+      (fun f ->
+        if t.probe_sent_at.(f) = neg_infinity then t.probe_sent_at.(f) <- now)
       dsts
 
 (* The lease holds as long as a majority (self included) was in
@@ -485,23 +515,18 @@ let send_install_snapshot t ~dsts =
 
 let post_append_tail t ~dsts ~next =
   let prev_index = next - 1 in
-  let entries = ref [] in
-  for i = last_index t downto next do
-    match Slot_log.get t.log i with
-    | Some e -> entries := e :: !entries
-    | None -> ()
-  done;
+  let entries = tail_entries t ~next in
   let msg =
     AppendEntries
       {
         term = t.term;
         prev_index;
         prev_term = term_at t prev_index;
-        entries = !entries;
+        entries;
         leader_commit = t.commit_index;
       }
   in
-  let size_bytes = append_size t !entries in
+  let size_bytes = append_size t entries in
   note_probe t dsts;
   List.iter
     (fun f ->
@@ -511,10 +536,10 @@ let post_append_tail t ~dsts ~next =
         t.inflight_match.(f) <- 0
       end)
     dsts;
-  if !entries = [] then t.env.multicast_sized dsts ~size_bytes msg
+  if entries = [] then t.env.multicast_sized dsts ~size_bytes msg
   else begin
     let key = t.env.rel.post_multi ~size_bytes ~ack:Reliable.Piggyback dsts msg in
-    let expected = prev_index + 1 + List.length !entries in
+    let expected = prev_index + 1 + List.length entries in
     List.iter
       (fun f ->
         t.append_key.(f) <- key;
@@ -585,19 +610,14 @@ and relay_broadcast_append t =
          end
        done;
        let prev_index = next - 1 in
-       let entries = ref [] in
-       for i = last_index t downto next do
-         match Slot_log.get t.log i with
-         | Some e -> entries := e :: !entries
-         | None -> ()
-       done;
+       let entries = tail_entries t ~next in
        let inner =
          AppendEntries
            {
              term = t.term;
              prev_index;
              prev_term = term_at t prev_index;
-             entries = !entries;
+             entries;
              leader_commit = t.commit_index;
            }
        in
@@ -608,11 +628,11 @@ and relay_broadcast_append t =
        t.relay_seq <- t.relay_seq + 1;
        let plan = relay_plan t ~leader:t.env.id ~gen in
        t.relay_akey <-
-         t.env.rel.post_multi ~size_bytes:(append_size t !entries)
+         t.env.rel.post_multi ~size_bytes:(append_size t entries)
            ~ack:Reliable.Piggyback
            (relay_targets t ~gen plan)
            (RelayAppend { gen; inner });
-       t.relay_expected <- prev_index + 1 + List.length !entries;
+       t.relay_expected <- prev_index + 1 + List.length entries;
        t.relay_fb <-
          t.env.schedule (relay_fallback_ms t) (fun () -> relay_fallback t);
        true
@@ -701,7 +721,7 @@ let become_leader t =
   t.match_index <- Array.make t.env.n 0;
   t.append_key <- Array.make t.env.n 0;
   t.inflight_match <- Array.make t.env.n 0;
-  t.probe_sent_at <- Array.make t.env.n 0.0;
+  t.probe_sent_at <- Array.make t.env.n neg_infinity;
   t.acked_at <- Array.make t.env.n neg_infinity;
   t.lease_until <- neg_infinity;
   (* No-op barrier: an entry of the new term lets the leader commit
@@ -913,13 +933,19 @@ let append_entries_core t ~leader ~term ~prev_index ~prev_term ~entries
       List.iteri
         (fun off (e : entry) ->
           let i = prev_index + 1 + off in
-          match Slot_log.get t.log i with
-          | Some existing when existing.term = e.term -> ()
-          | _ ->
-              Slot_log.set t.log i { e with client = None };
-              (match t.env.Proto.storage with
-              | None -> ()
-              | Some st -> Storage.write st (entry_op ~slot:i e)))
+          let present =
+            if Slot_log.executed t.log i then Slot_log.chosen_tag t.log i = e.term
+            else
+              match Slot_log.get t.log i with
+              | Some existing -> existing.term = e.term
+              | None -> false
+          in
+          if not present then begin
+            Slot_log.set t.log i { e with client = None };
+            match t.env.Proto.storage with
+            | None -> ()
+            | Some st -> Storage.write st (entry_op ~slot:i e)
+          end)
         entries;
       let match_index = prev_index + 1 + List.length entries in
       if leader_commit > t.commit_index then begin
@@ -1098,10 +1124,10 @@ let on_relay_append_ack t ~src ~term ~gen ~expected ~bits =
           let m = group.(i) in
           (* the member accepted the append — its relayed reply proves
              the probe contact just like a direct reply would *)
-          if lease && t.probe_sent_at.(m) > 0.0 then begin
+          if lease && t.probe_sent_at.(m) > neg_infinity then begin
             if t.probe_sent_at.(m) > t.acked_at.(m) then
               t.acked_at.(m) <- t.probe_sent_at.(m);
-            t.probe_sent_at.(m) <- 0.0
+            t.probe_sent_at.(m) <- neg_infinity
           end;
           t.match_index.(m) <- Stdlib.max t.match_index.(m) expected;
           t.next_index.(m) <- Stdlib.max t.next_index.(m) expected
@@ -1125,10 +1151,10 @@ let on_append_reply t ~src ~term ~success ~match_index =
        accepted an append of ours sent no earlier than the recorded
        probe time — it reset its election timer and granted then — so
        the probe round-trip extends the lease. *)
-    if lease_mode t && t.probe_sent_at.(src) > 0.0 then begin
+    if lease_mode t && t.probe_sent_at.(src) > neg_infinity then begin
       if t.probe_sent_at.(src) > t.acked_at.(src) then
         t.acked_at.(src) <- t.probe_sent_at.(src);
-      t.probe_sent_at.(src) <- 0.0;
+      t.probe_sent_at.(src) <- neg_infinity;
       recompute_lease t
     end;
     if success then begin

@@ -51,7 +51,12 @@ type phase1_state = {
 type key_state = {
   mutable ballot : Ballot.t;
   mutable owner_active : bool; (* this replica completed phase-1 *)
-  log : entry Slot_log.t;
+  log : (entry, Ballot.t) Slot_log.t;
+      (* executed slots keep only their command and ballot *)
+  mutable late_posts : (int * int) list;
+      (* owner: (slot, rkey) of executed slots whose P2a post was still
+         open when they executed — committed by a CommitK rather than
+         by their own quorum — so late P2bs still settle it *)
   mutable p1 : phase1_state option;
   pending : (Address.t * Proto.request) Queue.t;
   (* owner-side locality tracking: consecutive requests from one
@@ -107,6 +112,10 @@ let create env =
     committed = 0;
   }
 
+let entry_cmd (e : entry) = e.cmd
+let entry_ballot (e : entry) = e.ballot
+let keep = Some (entry_cmd, entry_ballot)
+
 let key_state t key =
   match Hashtbl.find_opt t.keys key with
   | Some ks -> ks
@@ -120,7 +129,8 @@ let key_state t key =
         {
           ballot;
           owner_active;
-          log = Slot_log.create ();
+          log = Slot_log.create ?keep ();
+          late_posts = [];
           p1 = None;
           pending = Queue.create ();
           streak_zone = -1;
@@ -188,9 +198,13 @@ let q2_spec t =
 let advance t (ks : key_state) =
   Slot_log.advance_frontier ks.log
     ~executable:(fun (e : entry) -> e.committed)
-    ~f:(fun _slot (e : entry) ->
+    ~f:(fun slot (e : entry) ->
       let read = Executor.execute t.exec e.cmd in
       t.committed <- t.committed + 1;
+      if e.rkey <> 0 then begin
+        if ks.owner_active then ks.late_posts <- (slot, e.rkey) :: ks.late_posts;
+        e.rkey <- 0
+      end;
       match e.client with
       | Some client ->
           e.client <- None;
@@ -229,7 +243,9 @@ let withdraw_posts t (ks : key_state) =
       if e.rkey <> 0 then begin
         t.env.rel.settle_all ~key:e.rkey;
         e.rkey <- 0
-      end)
+      end);
+  (* late acks for these carry a ballot we are leaving: none can match *)
+  ks.late_posts <- []
 
 let propose t key ks ~client (request : Proto.request) =
   let slot = Slot_log.reserve ks.log in
@@ -463,6 +479,8 @@ let on_p1a t ~src ~key ~ballot ~frontier =
     ks.owner_active <- false;
     ks.p1 <- None;
     let accepted = ref [] in
+    Slot_log.iter_chosen ks.log ~start:frontier ~f:(fun slot cmd ballot ->
+        accepted := (slot, ballot, cmd, true) :: !accepted);
     Slot_log.iter_from ks.log ~start:frontier ~f:(fun slot (e : entry) ->
         accepted := (slot, e.ballot, e.cmd, e.committed) :: !accepted);
     t.env.send src (P1b { key; ballot; ok = true; accepted = !accepted });
@@ -497,15 +515,16 @@ let on_p2a t ~src ~key ~ballot ~slot ~cmd ~commit_up_to:bound =
       ks.owner_active <- false;
       ks.p1 <- None
     end;
-    (match Slot_log.get ks.log slot with
-    | Some (e : entry) when e.committed -> ()
-    | Some e ->
-        if not (Command.equal e.cmd cmd) then e.client <- None;
-        e.ballot <- ballot;
-        e.cmd <- cmd
-    | None ->
-        Slot_log.set ks.log slot
-          { ballot; cmd; client = None; quorum = None; committed = false; rkey = 0 });
+    (if not (Slot_log.executed ks.log slot) then
+       match Slot_log.get ks.log slot with
+       | Some (e : entry) when e.committed -> ()
+       | Some e ->
+           if not (Command.equal e.cmd cmd) then e.client <- None;
+           e.ballot <- ballot;
+           e.cmd <- cmd
+       | None ->
+           Slot_log.set ks.log slot
+             { ballot; cmd; client = None; quorum = None; committed = false; rkey = 0 });
     commit_up_to t ks bound;
     t.env.send src (P2b { key; ballot; slot; ok = true });
     drain_pending t key ks
@@ -515,21 +534,28 @@ let on_p2a t ~src ~key ~ballot ~slot ~cmd ~commit_up_to:bound =
 let on_p2b t ~src ~key ~ballot ~slot ~ok =
   let ks = key_state t key in
   if ok && ks.owner_active && Ballot.equal ballot ks.ballot then begin
-    match Slot_log.get ks.log slot with
-    | Some ({ quorum = Some tracker; committed = false; _ } as e : entry) ->
-        t.env.rel.settle ~dst:src ~key:e.rkey;
-        Quorum.ack tracker src;
-        if Quorum.satisfied tracker then begin
-          e.committed <- true;
-          e.quorum <- None;
-          t.env.rel.settle_all ~key:e.rkey;
-          advance t ks;
-          t.env.broadcast (CommitK { key; slot; cmd = e.cmd })
-        end
-    | Some ({ committed = true; rkey; _ } : entry) when rkey <> 0 ->
-        (* late ack for an already-committed slot: stop the timer *)
-        t.env.rel.settle ~dst:src ~key:rkey
-    | _ -> ()
+    if Slot_log.executed ks.log slot then begin
+      match List.assoc_opt slot ks.late_posts with
+      | Some rkey -> t.env.rel.settle ~dst:src ~key:rkey
+      | None -> ()
+    end
+    else
+      match Slot_log.get ks.log slot with
+      | Some ({ quorum = Some tracker; committed = false; _ } as e : entry) ->
+          t.env.rel.settle ~dst:src ~key:e.rkey;
+          Quorum.ack tracker src;
+          if Quorum.satisfied tracker then begin
+            e.committed <- true;
+            e.quorum <- None;
+            t.env.rel.settle_all ~key:e.rkey;
+            e.rkey <- 0;
+            advance t ks;
+            t.env.broadcast (CommitK { key; slot; cmd = e.cmd })
+          end
+      | Some ({ committed = true; rkey; _ } : entry) when rkey <> 0 ->
+          (* late ack for an already-committed slot: stop the timer *)
+          t.env.rel.settle ~dst:src ~key:rkey
+      | _ -> ()
   end
   else if (not ok) && Ballot.(ballot > ks.ballot) then begin
     withdraw_posts t ks;
@@ -541,22 +567,23 @@ let on_p2b t ~src ~key ~ballot ~slot ~ok =
 
 let on_commit t ~key ~slot ~cmd =
   let ks = key_state t key in
-  (match Slot_log.get ks.log slot with
-  | Some (e : entry) ->
-      if not (Command.equal e.cmd cmd) then e.client <- None;
-      e.cmd <- cmd;
-      e.committed <- true;
-      e.quorum <- None
-  | None ->
-      Slot_log.set ks.log slot
-        {
-          ballot = ks.ballot;
-          cmd;
-          client = None;
-          quorum = None;
-          committed = true;
-          rkey = 0;
-        });
+  (if not (Slot_log.executed ks.log slot) then
+     match Slot_log.get ks.log slot with
+     | Some (e : entry) ->
+         if not (Command.equal e.cmd cmd) then e.client <- None;
+         e.cmd <- cmd;
+         e.committed <- true;
+         e.quorum <- None
+     | None ->
+         Slot_log.set ks.log slot
+           {
+             ballot = ks.ballot;
+             cmd;
+             client = None;
+             quorum = None;
+             committed = true;
+             rkey = 0;
+           });
   advance t ks
 
 let on_message t ~src = function

@@ -270,19 +270,23 @@ let retained_words_per_op () =
   remembered := [];
   float_of_int words /. float_of_int (max 1 r.Runner.completed)
 
-(* What the replicas legitimately keep per committed op is a log
-   entry, a KV version, an applied-sequence slot and a memo entry on
-   each of the nine (DESIGN.md §10, "Memory lifetime"), plus the
-   client's queued timeout event. Per-op state that is already dead
-   must not be retained: measured 231.5 words/op (OCaml 5.1, 64-bit);
-   keeping the vote trackers of committed slots gives 259.5, letting
-   each timeout closure pin its command and continuations gives 275.9,
-   and the two together with the tuple-keyed memo and list-backed
-   applied sequence gave 396.6. Unlike bytes/event this figure has no
-   GC-accounting noise — a fixed-seed run reaches exactly the same
-   graph every time — so the band is ~1.1x, which both regressions
-   above exceed. *)
-let retained_words_per_op_cap = 255.0
+(* What the replicas legitimately keep per committed op, summed over
+   the nine (DESIGN.md §10, "Memory lifetime"), measured at 119.9
+   words/op (OCaml 5.1, 64-bit): ~46 in the executor memos (one int
+   key and its read per command), ~20 in the executed-log columns (a
+   command pointer and a ballot pointer per slot, plus the partly
+   filled last chunk), ~16 in the KV stores (one writer pointer per
+   version, plus per-key chains), ~14 in the applied sequences, ~6.5
+   for the command itself (shared by every replica) and ~17 for the
+   rest of the cluster, mostly each client's queued timeout event.
+   Per-op state that is already dead must not be retained: keeping
+   executed slots as boxed entries in a grow-only array gives 204.4, a
+   list-backed KV chain (cons + record + option per version) 147.0,
+   and letting each timeout closure pin its command and continuations
+   166.3. Unlike bytes/event this figure has no GC-accounting noise —
+   a fixed-seed run reaches exactly the same graph every time — so
+   the band is ~1.1x, which each regression above exceeds. *)
+let retained_words_per_op_cap = 132.0
 
 let test_retained_memory_pinned () =
   let w = retained_words_per_op () in

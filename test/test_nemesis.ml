@@ -306,6 +306,33 @@ let test_lease_reads_survive_partition_and_skew () =
         (v.Trial.completed > 500))
     [ "paxos"; "fpaxos"; "raft" ]
 
+(* Raft lease reads after a single backward skew of the leader's
+   clock. The fault sets node 0's clock back 106 ms at 53 ms, so the
+   leader's first probes carry local send times at or below zero.
+   Raft once used 0.0 to mean "no probe outstanding": those probes
+   were never credited or re-armed, the lease never renewed, and the
+   queued reads waited forever (3,745 ops, then a liveness failure).
+   With the fix the trial passes with ~24.7k ops. *)
+let raft_skew_wedge_schedule =
+  [
+    Schedule.Skew
+      { node = 0; from_ms = 53.3691; duration_ms = 1_073.5; offset_ms = -106.191 };
+  ]
+
+let test_raft_lease_survives_early_skew () =
+  let v =
+    Trial.run ~protocol:"raft" ~seed:23 ~read_ratio:0.9
+      ~read_path:(Config.Lease { margin_ms = 300.0 })
+      raft_skew_wedge_schedule
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "raft skew pin: %s" (String.concat "; " v.Trial.reasons))
+    true v.Trial.ok;
+  Alcotest.(check bool)
+    (Printf.sprintf "raft progressed (%d)" v.Trial.completed)
+    true
+    (v.Trial.completed > 20_000)
+
 (* Chain tail reads under a slow then flaky tail link: reads keep
    answering (the tail itself is healthy) and writes heal through the
    reliable-delivery layer. *)
@@ -424,6 +451,8 @@ let suite =
           test_skew_schedule_roundtrip;
         Alcotest.test_case "lease reads survive partition+skew" `Slow
           test_lease_reads_survive_partition_and_skew;
+        Alcotest.test_case "raft lease survives early skew" `Slow
+          test_raft_lease_survives_early_skew;
         Alcotest.test_case "tail reads survive tail link faults" `Slow
           test_tail_reads_survive_tail_link_faults;
         Alcotest.test_case "quorum reads survive partition+skew" `Slow

@@ -134,6 +134,56 @@ let test_wan_paxos () =
   (* majority of 9 across VA/OH/CA needs cross-region round trips *)
   H.assert_consistent h
 
+(* A replica crashed while the others commit and execute 30 commands
+   recovers with frontier 0 after they have moved every one of those
+   slots into their executed prefix, and the leader crashes at that
+   moment. The recovered replica has the shortest failover timeout of
+   the survivors, so it runs phase 1 from frontier 0: the P1bs must
+   report the executed slots from the others' compacted prefixes, and
+   the replica must re-propose and apply exactly the committed
+   commands. Storage is on (sync=none) so the crash windows are real
+   crashes: the replica reboots empty and its timers stop while down. *)
+let test_lagging_replica_recovers_compacted_prefix () =
+  let faults = Faults.create () in
+  Faults.crash faults ~node:(Address.replica 1) ~from_ms:100.0
+    ~duration_ms:5_000.0;
+  Faults.crash faults ~node:(Address.replica 0) ~from_ms:5_100.0
+    ~duration_ms:600_000.0;
+  let config =
+    {
+      (Config.default ~n_replicas:5) with
+      Config.storage =
+        Some { Storage.default_config with Storage.sync_mode = Storage.Sync_none };
+    }
+  in
+  let cluster =
+    H.C.create ~faults ~config ~topology:(Topology.lan ~n_replicas:5 ()) ()
+  in
+  let h = { H.cluster; sim = H.C.sim cluster; faults; config; next_client = 0 } in
+  H.run_for h 200.0;
+  let ops = List.init 30 (fun i -> put (i mod 7) i) in
+  Alcotest.(check int) "committed without the laggard" 30
+    (List.length (H.submit_seq h ops));
+  H.run_for h 500.0;
+  let r2 = H.replica h 2 in
+  Alcotest.(check bool) "survivors executed everything" true
+    (P.commit_frontier r2 >= 30);
+  (match P.log_entry r2 0 with
+  | Some (_, _, committed) ->
+      Alcotest.(check bool) "executed slot reads as committed" true committed
+  | None -> Alcotest.fail "executed slot 0 unreadable");
+  Alcotest.(check bool) "the laggard's crash outlasts the commits" true
+    (Sim.now (H.sim h) < 5_100.0);
+  Sim.run_until (H.sim h) 10_000.0;
+  let r1 = H.replica h 1 in
+  Alcotest.(check bool) "laggard leads" true (P.is_leader r1);
+  Alcotest.(check int) "under its own ballot" 1 (P.current_ballot r1).Ballot.owner;
+  let show i = List.map (Format.asprintf "%a" Command.pp) (H.applied_commands h i) in
+  Alcotest.(check (list string)) "laggard applied exactly the committed commands"
+    (show 2) (show 1);
+  Alcotest.(check int) "all thirty" 30 (List.length (show 1));
+  H.assert_consistent ~replicas:[ 1; 2; 3; 4 ] h
+
 let suite =
   ( "paxos",
     [
@@ -149,4 +199,6 @@ let suite =
       Alcotest.test_case "thrifty mode" `Quick test_thrifty_commits;
       Alcotest.test_case "explicit commit mode" `Quick test_explicit_commit_mode;
       Alcotest.test_case "wan deployment" `Quick test_wan_paxos;
+      Alcotest.test_case "lagging replica recovers compacted prefix" `Quick
+        test_lagging_replica_recovers_compacted_prefix;
     ] )

@@ -191,6 +191,187 @@ let test_slot_log_growth () =
   Slot_log.set log 1000 42;
   Alcotest.(check (option int)) "grown" (Some 42) (Slot_log.get log 1000)
 
+(* Slot_log against a reference map of filled slots at or above the
+   base. Ops are decoded from generated ints (op mod 8, argument op / 8):
+   0-2 set near the frontier (three below it, which must be ignored),
+   3 reserve, 4 fill a run of up to 299 slots from the frontier (long
+   enough to cross chunk boundaries), 5-6 advance, 7 truncate within
+   four slots of the frontier (at or below the base is a no-op; past
+   [next_slot] drops live slots). Entries are ints, executable unless
+   divisible by 7, kept as [(Get v, 10 v)]. After every op the log
+   must agree with the model on the frontier, base, next slot, filled
+   count, every live and executed slot near the window, and both
+   iterators. *)
+let prop_slot_log_model =
+  QCheck.Test.make ~name:"slot log matches a reference map" ~count:150
+    QCheck.(list_of_size Gen.(0 -- 60) (int_bound 99_999))
+    (fun ops ->
+      let kept v = Command.make ~id:v ~client:0 (Command.Get v) in
+      let log = Slot_log.create ~keep:(kept, fun v -> 10 * v) () in
+      let model = Hashtbl.create 64 in
+      let base = ref 0 and frontier = ref 0 and high = ref 0 in
+      let executable v = v mod 7 <> 0 in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let set i v =
+        Slot_log.set log i v;
+        if i >= !frontier then begin
+          Hashtbl.replace model i v;
+          if i >= !high then high := i + 1
+        end
+      in
+      let sorted l = List.sort compare l in
+      let check start =
+        if
+          Slot_log.exec_frontier log <> !frontier
+          || Slot_log.base log <> !base
+          || Slot_log.next_slot log <> !high
+          || Slot_log.filled_count log <> Hashtbl.length model
+        then
+          fail "frontier %d/%d base %d/%d next %d/%d filled %d/%d"
+            (Slot_log.exec_frontier log) !frontier (Slot_log.base log) !base
+            (Slot_log.next_slot log) !high (Slot_log.filled_count log)
+            (Hashtbl.length model);
+        for i = max 0 (!base - 2) to !high + 2 do
+          let want = if i >= !frontier then Hashtbl.find_opt model i else None in
+          if Slot_log.get log i <> want then fail "get %d" i;
+          if i >= !base && i < !frontier then begin
+            let v = Hashtbl.find model i in
+            if
+              (Slot_log.chosen_cmd log i).Command.id <> v
+              || Slot_log.chosen_tag log i <> 10 * v
+            then fail "chosen %d" i
+          end
+          else
+            match Slot_log.chosen_cmd log i with
+            | _ -> fail "chosen_cmd %d outside the executed prefix" i
+            | exception Invalid_argument _ -> ()
+        done;
+        let live = ref [] and chosen = ref [] in
+        Slot_log.iter_from log ~start ~f:(fun i v -> live := (i, v) :: !live);
+        Slot_log.iter_chosen log ~start ~f:(fun i c tag ->
+            chosen := (i, c.Command.id, tag) :: !chosen);
+        let model_list keep =
+          Hashtbl.fold (fun i v acc -> if keep i then (i, v) :: acc else acc) model []
+        in
+        if
+          List.rev !live
+          <> sorted (model_list (fun i -> i >= max start !frontier))
+        then fail "iter_from %d" start;
+        if
+          List.rev !chosen
+          <> List.map
+               (fun (i, v) -> (i, v, 10 * v))
+               (sorted
+                  (model_list (fun i -> i >= max start !base && i < !frontier)))
+        then fail "iter_chosen %d" start
+      in
+      List.iter
+        (fun op ->
+          let x = op / 8 in
+          (match op mod 8 with
+          | 0 | 1 | 2 -> set (max 0 (!frontier + (x mod 12) - 3)) x
+          | 3 ->
+              let s = Slot_log.reserve log in
+              if s <> !high then fail "reserve %d, want %d" s !high;
+              incr high
+          | 4 ->
+              for k = 0 to (x mod 300) - 1 do
+                set (!frontier + k) ((7 * k) + 1)
+              done
+          | 5 | 6 ->
+              let got = ref [] and want = ref [] in
+              Slot_log.advance_frontier log ~executable ~f:(fun i v ->
+                  got := (i, v) :: !got);
+              let continue = ref true in
+              while !continue do
+                match Hashtbl.find_opt model !frontier with
+                | Some v when !frontier < !high && executable v ->
+                    want := (!frontier, v) :: !want;
+                    incr frontier
+                | _ -> continue := false
+              done;
+              if !got <> !want then fail "advance"
+          | _ ->
+              let upto = max 0 (!frontier + (x mod 9) - 4) in
+              Slot_log.truncate log ~upto;
+              if upto > !base then begin
+                Hashtbl.filter_map_inplace
+                  (fun i v -> if i < upto then None else Some v)
+                  model;
+                base := upto;
+                frontier := max !frontier upto;
+                high := max !high upto
+              end);
+          check (!base - 1 + (x mod (!high - !base + 3))))
+        ops;
+      true)
+
+(* Truncating a 10k-slot executed prefix frees it: what the log still
+   reaches is its live window (ten entries in a minimum-size ring),
+   not the 16k-slot ring the burst grew nor the executed columns. *)
+let test_slot_log_truncate_frees () =
+  let kept i = Command.make ~id:i ~client:0 (Command.Get i) in
+  let log = Slot_log.create ~keep:(kept, fun i -> i) () in
+  for i = 0 to 9_999 do
+    Slot_log.set log i i
+  done;
+  Slot_log.advance_frontier log ~executable:(fun _ -> true) ~f:(fun _ _ -> ());
+  for i = 10_000 to 10_009 do
+    Slot_log.set log i i
+  done;
+  let before = Obj.reachable_words (Obj.repr log) in
+  Slot_log.truncate log ~upto:10_000;
+  let after = Obj.reachable_words (Obj.repr log) in
+  Alcotest.(check bool)
+    (Printf.sprintf "executed prefix held (%d words)" before)
+    true (before > 20_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "live window only after truncation (%d words)" after)
+    true (after <= 200);
+  Alcotest.(check (option int)) "live slot survives" (Some 10_005)
+    (Slot_log.get log 10_005)
+
+(* Kv versions, derived from the writer array, equal a list-model
+   chain built from the same writes: value, seq and writer of every
+   version, oldest first, plus the latest value and the key count. *)
+let prop_kv_versions_model =
+  QCheck.Test.make ~name:"kv versions match a list chain" ~count:200
+    QCheck.(list (pair (int_bound 5) (int_bound 20)))
+    (fun writes ->
+      let kv = Kv.create () in
+      let model = Hashtbl.create 8 in
+      List.iteri
+        (fun id (k, x) ->
+          let writer, value =
+            if x mod 4 = 0 then (cmd id (Command.Delete k), None)
+            else (cmd id (Command.Put (k, x)), Some x)
+          in
+          (match value with
+          | Some v -> Kv.put kv writer k v
+          | None -> Kv.delete kv writer k);
+          let chain = Option.value (Hashtbl.find_opt model k) ~default:[] in
+          Hashtbl.replace model k
+            ({ Kv.value; seq = List.length chain + 1; writer } :: chain))
+        writes;
+      Kv.size kv = Hashtbl.length model
+      && List.for_all
+           (fun k ->
+             let chain = Option.value (Hashtbl.find_opt model k) ~default:[] in
+             Kv.versions kv k = List.rev chain
+             && Kv.get kv k
+                = match chain with v :: _ -> v.Kv.value | [] -> None)
+           [ 0; 1; 2; 3; 4; 5 ])
+
+let test_kv_writer_must_match () =
+  let kv = Kv.create () in
+  Alcotest.check_raises "put with a foreign writer"
+    (Invalid_argument "Kv.put: writer is not Put (k, v)") (fun () ->
+      Kv.put kv (cmd 1 (Command.Put (1, 10))) 1 11);
+  Alcotest.check_raises "delete with a put writer"
+    (Invalid_argument "Kv.delete: writer is not Delete k") (fun () ->
+      Kv.delete kv (cmd 2 (Command.Put (1, 10))) 1);
+  Alcotest.(check int) "nothing recorded" 0 (Kv.size kv)
+
 let test_config_validation () =
   let ok c = Alcotest.(check bool) "valid" true (Config.validate c = Ok ()) in
   let bad c = Alcotest.(check bool) "invalid" true (Config.validate c <> Ok ()) in
@@ -230,6 +411,11 @@ let suite =
       Alcotest.test_case "slot log basics" `Quick test_slot_log;
       Alcotest.test_case "slot log frontier" `Quick test_slot_log_frontier;
       Alcotest.test_case "slot log growth" `Quick test_slot_log_growth;
+      QCheck_alcotest.to_alcotest prop_slot_log_model;
+      Alcotest.test_case "slot log truncation frees" `Quick
+        test_slot_log_truncate_frees;
+      QCheck_alcotest.to_alcotest prop_kv_versions_model;
+      Alcotest.test_case "kv writer must match" `Quick test_kv_writer_must_match;
       Alcotest.test_case "config validation" `Quick test_config_validation;
       Alcotest.test_case "config quorums" `Quick test_config_quorums;
     ] )
