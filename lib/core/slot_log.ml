@@ -2,8 +2,9 @@
 
    - [0, base): truncated into a snapshot; nothing is kept.
    - [base, frontier): executed. With a [keep] projection each slot is
-     two words — its command and its tag — in fixed-size chunks
-     addressed by absolute slot number; without one nothing is kept.
+     two words — its command and its tag — in chunks of [chunk_size]
+     slots addressed by absolute slot number; without one nothing is
+     kept.
    - [frontier, high): the live window of boxed entries, a ring whose
      capacity is a power of two, slot [i] at [i land (capacity - 1)].
 
@@ -11,7 +12,7 @@
    and truncation frees whole chunks from the front of the chunk
    directory. *)
 
-let chunk_bits = 10
+let chunk_bits = 8
 let chunk_size = 1 lsl chunk_bits
 let chunk_mask = chunk_size - 1
 
@@ -98,17 +99,32 @@ let push_chosen t cmd tag =
   let c = (s lsr chunk_bits) - t.chunk0 in
   let dir = Array.length t.cmd_chunks in
   if c >= dir then begin
-    let ndir = max 4 (max (c + 1) (2 * dir)) in
+    let ndir = max (c + 1) (2 * dir) in
     let grow old = Array.init ndir (fun j -> if j < dir then old.(j) else [||]) in
     t.cmd_chunks <- grow t.cmd_chunks;
     t.tag_chunks <- grow t.tag_chunks
   end;
-  if Array.length t.cmd_chunks.(c) = 0 then begin
-    t.cmd_chunks.(c) <- Array.make chunk_size Command.noop;
-    t.tag_chunks.(c) <- Array.make chunk_size tag
+  let j = s land chunk_mask and n = Array.length t.cmd_chunks.(c) in
+  if j >= n then begin
+    (* Chunks fill in slot order. The first 64 slots grow their chunk
+       by doubling from 8, so a log that executes only a few slots (a
+       per-key wpaxos log) stays a few words; past them chunks are
+       allocated whole. A whole chunk is small enough (256 words) to
+       be allocated in the minor heap. *)
+    let cap = ref (if s >= 64 then chunk_size else max 8 (2 * n)) in
+    while j >= !cap do
+      cap := 2 * !cap
+    done;
+    let grow old fill =
+      let a = Array.make !cap fill in
+      Array.blit old 0 a 0 n;
+      a
+    in
+    t.cmd_chunks.(c) <- grow t.cmd_chunks.(c) Command.noop;
+    t.tag_chunks.(c) <- grow t.tag_chunks.(c) tag
   end;
-  t.cmd_chunks.(c).(s land chunk_mask) <- cmd;
-  t.tag_chunks.(c).(s land chunk_mask) <- tag
+  t.cmd_chunks.(c).(j) <- cmd;
+  t.tag_chunks.(c).(j) <- tag
 
 let advance_frontier t ~executable ~f =
   let continue = ref true in

@@ -271,9 +271,9 @@ let retained_words_per_op () =
   float_of_int words /. float_of_int (max 1 r.Runner.completed)
 
 (* What the replicas legitimately keep per committed op, summed over
-   the nine (DESIGN.md §10, "Memory lifetime"), measured at 119.9
+   the nine (DESIGN.md §10, "Memory lifetime"), measured at 118.7
    words/op (OCaml 5.1, 64-bit): ~46 in the executor memos (one int
-   key and its read per command), ~20 in the executed-log columns (a
+   key and its read per command), ~19 in the executed-log columns (a
    command pointer and a ballot pointer per slot, plus the partly
    filled last chunk), ~16 in the KV stores (one writer pointer per
    version, plus per-key chains), ~14 in the applied sequences, ~6.5
@@ -281,12 +281,12 @@ let retained_words_per_op () =
    rest of the cluster, mostly each client's queued timeout event.
    Per-op state that is already dead must not be retained: keeping
    executed slots as boxed entries in a grow-only array gives 204.4, a
-   list-backed KV chain (cons + record + option per version) 147.0,
+   list-backed KV chain (cons + record + option per version) 145.7,
    and letting each timeout closure pin its command and continuations
-   166.3. Unlike bytes/event this figure has no GC-accounting noise —
+   165.1. Unlike bytes/event this figure has no GC-accounting noise —
    a fixed-seed run reaches exactly the same graph every time — so
    the band is ~1.1x, which each regression above exceeds. *)
-let retained_words_per_op_cap = 132.0
+let retained_words_per_op_cap = 131.0
 
 let test_retained_memory_pinned () =
   let w = retained_words_per_op () in

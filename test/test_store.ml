@@ -331,6 +331,23 @@ let test_slot_log_truncate_frees () =
   Alcotest.(check (option int)) "live slot survives" (Some 10_005)
     (Slot_log.get log 10_005)
 
+(* A log that executes a handful of slots — one of wpaxos's per-key
+   logs — keeps a handful of words for them, not a whole chunk: with
+   one chunk per key a 9-replica wpaxos run peaked at 173 MB. *)
+let test_slot_log_short_prefix_small () =
+  let kept i = Command.make ~id:i ~client:0 (Command.Get i) in
+  let log = Slot_log.create ~keep:(kept, fun i -> i) () in
+  let empty = Obj.reachable_words (Obj.repr log) in
+  for i = 0 to 2 do
+    Slot_log.set log i i
+  done;
+  Slot_log.advance_frontier log ~executable:(fun _ -> true) ~f:(fun _ _ -> ());
+  let words = Obj.reachable_words (Obj.repr log) - empty in
+  Alcotest.(check bool)
+    (Printf.sprintf "three executed slots cost %d words" words)
+    true (words <= 64);
+  Alcotest.(check int) "still readable" 2 (Slot_log.chosen_tag log 2)
+
 (* Kv versions, derived from the writer array, equal a list-model
    chain built from the same writes: value, seq and writer of every
    version, oldest first, plus the latest value and the key count. *)
@@ -414,6 +431,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_slot_log_model;
       Alcotest.test_case "slot log truncation frees" `Quick
         test_slot_log_truncate_frees;
+      Alcotest.test_case "slot log short prefix small" `Quick
+        test_slot_log_short_prefix_small;
       QCheck_alcotest.to_alcotest prop_kv_versions_model;
       Alcotest.test_case "kv writer must match" `Quick test_kv_writer_must_match;
       Alcotest.test_case "config validation" `Quick test_config_validation;
