@@ -2,20 +2,25 @@
 
     Consensus may decide the same command in more than one slot when
     clients retry after a timeout; the executor applies each distinct
-    [(client, id)] once and memoizes the result so re-decided commands
-    still produce a reply with the original read value. *)
+    [(client, id)] once. For every applied command it keeps one bit
+    (an executed-uid bitmap, 32 consecutive ids of a client per table
+    entry); a read that returned [Some v] also keeps [v]. So a command
+    decided again is not re-applied, and its reply carries the result
+    of the first execution: the original read value, or [None] for a
+    write or a read of an absent key. *)
 
 type t
 
 val create : unit -> t
 
 val execute : t -> Command.t -> Command.value option
-(** Apply the command (or recall its memoized result) and return the
-    read value. No-ops return [None] and are not applied. *)
+(** Apply the command and return its read value. A command already
+    applied is not applied again and returns its first result. No-ops
+    return [None] and are not applied. *)
 
 val read : t -> Command.t -> Command.value option
 (** Peek at the current value of a [Get]'s key without consuming a
-    slot or touching the memo table — the fast read path (lease, ABD
+    slot or touching the executed set — the fast read path (lease, ABD
     and tail reads). Returns [None] for writes and absent keys. *)
 
 val already_executed : t -> Command.t -> bool
@@ -25,7 +30,7 @@ val executed_count : t -> int
 
 val image : t -> Command.t array
 (** The applied-command prefix, oldest first: a snapshot image that
-    {!install} replays to rebuild the store, memo table and applied
+    {!install} replays to rebuild the store, executed set and applied
     sequence exactly (no-ops are never applied, so never appear). *)
 
 val install : t -> Command.t array -> unit

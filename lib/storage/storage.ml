@@ -28,6 +28,16 @@
    back only [regs] (small named integers: ballots, terms, votes), the
    retained log entries, and the latest snapshot.
 
+   The durable log is columnar: [int array]s for the tags [a] and [b]
+   and a [Command.t array], indexed by [slot - log_base] and grown by
+   doubling, so a durable slot costs three words rather than a hash
+   bucket plus an entry record. [Truncate] moves the live suffix to
+   fresh columns, freeing the prefix. paxos and fpaxos never truncate,
+   so for them this is the whole per-slot cost of durability. An
+   [Entry] record exists only on the write path, between [write] and
+   fsync completion, and [iter_entries] rebuilds one per slot at
+   recovery.
+
    The record vocabulary is deliberately protocol-agnostic — integer
    registers, (index, a, b, cmd) log entries, snapshot images of
    applied commands — so this library sits below [paxi] and every
@@ -159,9 +169,13 @@ type t = {
       (* crash-domain-tracked scheduler: every completion event it
          creates dies with the owner at the crash edge *)
   rng : Rng.t option; (* allocated only when a jitter draw can happen *)
-  (* durable image *)
+  (* durable image; the log is three parallel columns, slot [i] at
+     index [i - log_base], and [hole] marks an index never written *)
   mutable regs : int array;
-  log : (int, entry) Hashtbl.t;
+  mutable col_a : int array;
+  mutable col_b : int array;
+  mutable col_cmd : Command.t array;
+  mutable live : int; (* durable entries in [log_base, log_top) *)
   mutable log_base : int;
   mutable log_top : int; (* one past the highest durable slot *)
   mutable snap : (int * int * Command.t array) option;
@@ -196,7 +210,10 @@ let create ~config ~sim ~schedule ~rng_parent =
     schedule;
     rng;
     regs = Array.make 4 0;
-    log = Hashtbl.create 64;
+    col_a = [||];
+    col_b = [||];
+    col_cmd = [||];
+    live = 0;
     log_base = 0;
     log_top = 0;
     snap = None;
@@ -218,6 +235,36 @@ let snapshot_threshold t = t.config.snapshot_threshold
 
 (* ---- durable image mutation (runs at fsync completion) --------------- *)
 
+(* A hole is a slot between entries that was never written. It is
+   this private command, compared physically, not [Command.noop], which
+   paxos persists to fill gaps. *)
+let hole = Command.make ~id:min_int ~client:min_int (Command.Get min_int)
+
+(* The column length for [n] slots: a power of two, at least 64. *)
+let capacity n =
+  let c = ref 64 in
+  while !c < n do
+    c := 2 * !c
+  done;
+  !c
+
+(* Move the columns to fresh arrays of [cap] slots holding slots
+   [base ..] of the old ones: growth keeps the base, truncation raises
+   it and so drops the dead prefix. *)
+let relocate t ~base ~cap =
+  let a = Array.make cap 0 and b = Array.make cap 0 in
+  let cmd = Array.make cap hole in
+  let from = base - t.log_base in
+  let n = min (Array.length t.col_cmd - from) cap in
+  if n > 0 then begin
+    Array.blit t.col_a from a 0 n;
+    Array.blit t.col_b from b 0 n;
+    Array.blit t.col_cmd from cmd 0 n
+  end;
+  t.col_a <- a;
+  t.col_b <- b;
+  t.col_cmd <- cmd
+
 let durable_apply t op =
   match op with
   | Reg (idx, v) ->
@@ -229,14 +276,23 @@ let durable_apply t op =
       t.regs.(idx) <- v
   | Entry (index, e) ->
       if index >= t.log_base then begin
-        Hashtbl.replace t.log index e;
+        let i = index - t.log_base in
+        let cap = Array.length t.col_cmd in
+        if i >= cap then
+          relocate t ~base:t.log_base ~cap:(capacity (max (i + 1) (2 * cap)));
+        if t.col_cmd.(i) == hole then t.live <- t.live + 1;
+        t.col_a.(i) <- e.a;
+        t.col_b.(i) <- e.b;
+        t.col_cmd.(i) <- e.cmd;
         if index >= t.log_top then t.log_top <- index + 1
       end
   | Truncate upto ->
       if upto > t.log_base then begin
-        for i = t.log_base to upto - 1 do
-          Hashtbl.remove t.log i
+        for i = 0 to min upto t.log_top - t.log_base - 1 do
+          if t.col_cmd.(i) != hole then t.live <- t.live - 1
         done;
+        let span = t.log_top - upto in
+        relocate t ~base:upto ~cap:(if span > 0 then capacity span else 0);
         t.log_base <- upto;
         if t.log_top < upto then t.log_top <- upto
       end
@@ -322,15 +378,17 @@ let reg t idx = if idx < Array.length t.regs then t.regs.(idx) else 0
 let log_base t = t.log_base
 let log_top t = t.log_top
 let snapshot t = t.snap
-let durable_entries t = Hashtbl.length t.log
+let durable_entries t = t.live
 
 let iter_entries t ~f =
-  for i = t.log_base to t.log_top - 1 do
-    match Hashtbl.find_opt t.log i with Some e -> f i e | None -> ()
+  for i = 0 to t.log_top - t.log_base - 1 do
+    let cmd = t.col_cmd.(i) in
+    if cmd != hole then
+      f (t.log_base + i) { a = t.col_a.(i); b = t.col_b.(i); cmd }
   done
 
 let replay_cost_ms t =
-  t.config.replay_ms_per_cmd *. float_of_int (Hashtbl.length t.log)
+  t.config.replay_ms_per_cmd *. float_of_int t.live
 
 (* ---- metrics --------------------------------------------------------- *)
 

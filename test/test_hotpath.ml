@@ -271,22 +271,25 @@ let retained_words_per_op () =
   float_of_int words /. float_of_int (max 1 r.Runner.completed)
 
 (* What the replicas legitimately keep per committed op, summed over
-   the nine (DESIGN.md §10, "Memory lifetime"), measured at 118.7
-   words/op (OCaml 5.1, 64-bit): ~46 in the executor memos (one int
-   key and its read per command), ~19 in the executed-log columns (a
+   the nine (DESIGN.md §10, "Memory lifetime"), measured at 92.0
+   words/op (OCaml 5.1, 64-bit): ~19 in the executed-log columns (a
    command pointer and a ballot pointer per slot, plus the partly
-   filled last chunk), ~16 in the KV stores (one writer pointer per
-   version, plus per-key chains), ~14 in the applied sequences, ~6.5
-   for the command itself (shared by every replica) and ~17 for the
-   rest of the cluster, mostly each client's queued timeout event.
-   Per-op state that is already dead must not be retained: keeping
-   executed slots as boxed entries in a grow-only array gives 204.4, a
-   list-backed KV chain (cons + record + option per version) 145.7,
-   and letting each timeout closure pin its command and continuations
-   165.1. Unlike bytes/event this figure has no GC-accounting noise —
+   filled last chunk), ~18 in the executors' read values (one unboxed
+   int per read that found a value, in a hash bucket), ~1.4 in their
+   executed-uid bitmaps (one bit per command, 32 of a client's ids per
+   table entry), ~16 in the KV stores (one writer pointer per version,
+   plus per-key chains), ~14 in the applied sequences, ~6.5 for the
+   command itself (shared by every replica) and ~17 for the rest of
+   the cluster, mostly each client's queued timeout event. Per-op
+   state that is already dead must not be retained: a memo entry per
+   command (a uid-keyed hash table of results) adds 26.7, keeping
+   executed slots as boxed entries in a grow-only array ~86, a
+   list-backed KV chain (cons + record + option per version) ~27, and
+   letting each timeout closure pin its command and continuations
+   ~46. Unlike bytes/event this figure has no GC-accounting noise —
    a fixed-seed run reaches exactly the same graph every time — so
    the band is ~1.1x, which each regression above exceeds. *)
-let retained_words_per_op_cap = 131.0
+let retained_words_per_op_cap = 101.0
 
 let test_retained_memory_pinned () =
   let w = retained_words_per_op () in

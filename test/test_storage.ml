@@ -129,6 +129,132 @@ let test_snapshot_truncate_and_replay_cost () =
   Alcotest.(check bool) "truncation cut the replay bill" true
     (Storage.replay_cost_ms st < full_replay)
 
+(* The durable log's columns against a reference map. Ops write
+   entries out of order and with holes (slots up to 400, past the
+   first 64-slot columns), overwrite slots, persist no-ops, truncate
+   (sometimes past the top, sometimes below the base) and sync or
+   crash: a crash before the sync loses the unsynced tail, a crash
+   right after it loses the in-flight fsync. After every op the base,
+   top, entry count, replay cost and the [iter_entries] sequence must
+   match the model, which applies a batch only when its fsync
+   completes. *)
+let prop_storage_log_model =
+  let pool = Array.init 5 (fun i -> cmd (100 + i)) in
+  QCheck.Test.make ~name:"durable log matches a reference map" ~count:300
+    QCheck.(
+      list_of_size
+        Gen.(0 -- 80)
+        (quad (int_bound 9) (int_bound 449) (int_bound 9) (int_bound 5)))
+    (fun ops ->
+      let sim, st = make_storage () in
+      let clock = ref 0.0 in
+      let model = Hashtbl.create 64 in
+      let base = ref 0 and top = ref 0 in
+      let pending = ref [] in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let apply = function
+        | Storage.Entry (slot, e) ->
+            if slot >= !base then begin
+              Hashtbl.replace model slot e;
+              if slot >= !top then top := slot + 1
+            end
+        | Storage.Truncate upto ->
+            if upto > !base then begin
+              Hashtbl.filter_map_inplace
+                (fun slot e -> if slot < upto then None else Some e)
+                model;
+              base := upto;
+              if !top < upto then top := upto
+            end
+        | Storage.Reg _ | Storage.Snapshot _ -> ()
+      in
+      let write op =
+        Storage.write st op;
+        pending := op :: !pending
+      in
+      let check step =
+        let want =
+          Hashtbl.fold (fun slot e acc -> (slot, e) :: acc) model []
+          |> List.sort (fun (x, _) (y, _) -> compare x y)
+        in
+        let got = ref [] in
+        Storage.iter_entries st ~f:(fun slot e -> got := (slot, e) :: !got);
+        let same (x, (e : Storage.entry)) (y, (f : Storage.entry)) =
+          x = y && e.Storage.a = f.Storage.a && e.Storage.b = f.Storage.b
+          && e.Storage.cmd == f.Storage.cmd
+        in
+        if
+          Storage.log_base st <> !base
+          || Storage.log_top st <> !top
+          || Storage.durable_entries st <> Hashtbl.length model
+          || Storage.replay_cost_ms st
+             <> Storage.default_config.Storage.replay_ms_per_cmd
+                *. float_of_int (Hashtbl.length model)
+          || not (List.equal same want (List.rev !got))
+        then
+          fail "step %d: base %d/%d top %d/%d entries %d/%d" step
+            (Storage.log_base st) !base (Storage.log_top st) !top
+            (Storage.durable_entries st) (Hashtbl.length model)
+      in
+      List.iteri
+        (fun step (kind, x, y, z) ->
+          (match kind with
+          | 0 | 1 | 2 | 3 ->
+              let slot = if kind = 3 then x else x mod 100 in
+              let cmd = if z = 5 then Command.noop else pool.(z) in
+              write (Storage.Entry (slot, { Storage.a = y; b = z; cmd }))
+          | 4 -> write (Storage.Truncate (if y < 5 then x mod 100 else x))
+          | 5 | 6 | 7 ->
+              Storage.sync st ignore;
+              clock := !clock +. 10.0;
+              Sim.run_until sim !clock;
+              List.iter apply (List.rev !pending);
+              pending := []
+          | 8 ->
+              Storage.sync st ignore;
+              Storage.crash st;
+              pending := []
+          | _ ->
+              Storage.crash st;
+              pending := []);
+          check step)
+        ops;
+      true)
+
+(* A durable slot costs three words (two tag columns and a command
+   pointer), and the doubling columns are at most twice the slots
+   they hold, so 10k entries that share one command stay under 5
+   words each (16384-slot columns: 4.9). A hash table with an entry
+   record per slot cost ~10. Truncating to the last ten slots leaves
+   only their columns reachable. *)
+let test_storage_log_retained_size () =
+  let _sim, st = make_storage ~mode:Storage.Sync_none () in
+  let empty = Obj.reachable_words (Obj.repr st) in
+  let shared = cmd 1 in
+  for i = 0 to 9_999 do
+    Storage.write st
+      (Storage.Entry (i, { Storage.a = i; b = 1; cmd = shared }))
+  done;
+  Storage.sync st ignore;
+  let words = Obj.reachable_words (Obj.repr st) - empty in
+  Alcotest.(check int) "all durable" 10_000 (Storage.durable_entries st);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per durable entry"
+       (float_of_int words /. 10_000.0))
+    true
+    (words <= 5 * 10_000);
+  Storage.persist st [ Storage.Truncate 9_990 ] ignore;
+  let after = Obj.reachable_words (Obj.repr st) - empty in
+  Alcotest.(check bool)
+    (Printf.sprintf "prefix freed (%d words left)" after)
+    true (after <= 300);
+  let seen = ref [] in
+  Storage.iter_entries st ~f:(fun slot e ->
+      seen := (slot, e.Storage.a) :: !seen);
+  Alcotest.(check (list (pair int int))) "suffix survives"
+    (List.init 10 (fun i -> (9_990 + i, 9_990 + i)))
+    (List.rev !seen)
+
 (* ------------------------------------------------------------------ *)
 (* Timer ownership registry                                            *)
 (* ------------------------------------------------------------------ *)
@@ -476,6 +602,9 @@ let suite =
         test_sync_none_is_synchronous;
       Alcotest.test_case "snapshot+truncate+replay cost" `Quick
         test_snapshot_truncate_and_replay_cost;
+      QCheck_alcotest.to_alcotest prop_storage_log_model;
+      Alcotest.test_case "durable log retained size" `Quick
+        test_storage_log_retained_size;
       Alcotest.test_case "timers cancel_all" `Quick test_timers_cancel_all;
       Alcotest.test_case "timers generation guard" `Quick
         test_timers_generation_guard;

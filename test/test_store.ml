@@ -150,6 +150,107 @@ let test_applied_order_past_growth () =
   ignore (Executor.execute e (Command.make ~id:500 ~client:0 (Command.Put (0, 0))));
   Alcotest.(check int) "image unchanged" 200 (Array.length img)
 
+(* The executed-set bitmap answers like a [(client, id)]-keyed
+   reference memo in front of a reference state machine. Commands come
+   from a pool mixing small and large ids (one below 2^32, and ids
+   either side of a 32-id block edge) with positive and negative
+   clients (wankeeper and vpaxos internal writers are [-2 - id]), so
+   packed uids are negative too and bitmap words straddle zero. A
+   schedule picks pool entries with repeats, as retries do; after
+   every step the results, [already_executed] and [executed_count]
+   must agree, and an [image]/[install] round-trip must rebuild the
+   same executed set, read results and store. *)
+let prop_executor_model =
+  let clients = [| 0; 1; 5; 31; -1; -2; -3; -10; -1000 |] in
+  let ids =
+    [| 0; 1; 30; 31; 32; 33; 63; 64; 1000; 65_535; 1_048_607; 0xFFFF_FFFE |]
+  in
+  let gen_cmd =
+    QCheck.Gen.(
+      map
+        (fun (c, i, kind, k, v) ->
+          let op =
+            match kind with
+            | 0 | 1 -> Command.Get k
+            | 2 | 3 -> Command.Put (k, v)
+            | _ -> Command.Delete k
+          in
+          Command.make ~id:ids.(i) ~client:clients.(c) op)
+        (tup5
+           (int_bound (Array.length clients - 1))
+           (int_bound (Array.length ids - 1))
+           (int_bound 4) (int_bound 3) (int_bound 99)))
+  in
+  QCheck.Test.make ~name:"executor matches a reference memo" ~count:300
+    (QCheck.make
+       ~print:(fun (pool, sched) ->
+         Printf.sprintf "pool=[%s] schedule=[%s]"
+           (String.concat "; "
+              (List.map (Format.asprintf "%a" Command.pp) pool))
+           (String.concat "; " (List.map string_of_int sched)))
+       QCheck.Gen.(
+         pair
+           (list_size (1 -- 40) gen_cmd)
+           (list_size (0 -- 120) (int_bound 1_000))))
+    (fun (pool, sched) ->
+      (* one command per (client, id), as a retry re-sends the same op *)
+      let seen = Hashtbl.create 64 in
+      let pool =
+        List.filter
+          (fun (c : Command.t) ->
+            let k = (c.Command.client, c.Command.id) in
+            (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
+          pool
+        |> Array.of_list
+      in
+      let e = Executor.create () in
+      let memo = Hashtbl.create 64 in
+      let sm = State_machine.create () in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let key (c : Command.t) = (c.Command.client, c.Command.id) in
+      List.iter
+        (fun j ->
+          let c = pool.(j mod Array.length pool) in
+          if Executor.already_executed e c <> Hashtbl.mem memo (key c) then
+            fail "already_executed %a" Command.pp c;
+          let want =
+            match Hashtbl.find_opt memo (key c) with
+            | Some r -> r
+            | None ->
+                let r = (State_machine.apply sm c).State_machine.read in
+                Hashtbl.add memo (key c) r;
+                r
+          in
+          let got = Executor.execute e c in
+          if got <> want then fail "execute %a" Command.pp c;
+          if Executor.executed_count e <> Hashtbl.length memo then
+            fail "executed_count %d, want %d" (Executor.executed_count e)
+              (Hashtbl.length memo))
+        sched;
+      let e' = Executor.create () in
+      Executor.install e' (Executor.image e);
+      if Executor.executed_count e' <> Hashtbl.length memo then
+        fail "installed count %d, want %d" (Executor.executed_count e')
+          (Hashtbl.length memo);
+      Array.iter
+        (fun c ->
+          match Hashtbl.find_opt memo (key c) with
+          | Some r ->
+              if not (Executor.already_executed e' c) then
+                fail "installed lost %a" Command.pp c;
+              if Executor.execute e' c <> r then
+                fail "installed result %a" Command.pp c
+          | None ->
+              if Executor.already_executed e' c then
+                fail "installed invents %a" Command.pp c)
+        pool;
+      for k = 0 to 3 do
+        let get = Command.make ~id:0 ~client:77 (Command.Get k) in
+        if Executor.read e' get <> Kv.get (State_machine.store sm) k then
+          fail "installed store key %d" k
+      done;
+      true)
+
 let test_ballot_ordering () =
   let open Ballot in
   let b1 = initial ~owner:0 in
@@ -424,6 +525,7 @@ let suite =
         test_executor_memo_key_packing;
       Alcotest.test_case "applied order past growth" `Quick
         test_applied_order_past_growth;
+      QCheck_alcotest.to_alcotest prop_executor_model;
       Alcotest.test_case "ballot ordering" `Quick test_ballot_ordering;
       Alcotest.test_case "slot log basics" `Quick test_slot_log;
       Alcotest.test_case "slot log frontier" `Quick test_slot_log_frontier;
